@@ -1,13 +1,13 @@
-//! Columnar (`DJSC`) frame micro-benchmarks: full decode vs projected
-//! decode vs raw column read on a metadata-heavy shard, plus the
-//! mask-filter splice — the per-frame costs the field-projection
-//! pushdown trades against a whole-row decode.
+//! `DJSC` shard frame micro-benchmarks: full decode vs projected decode
+//! vs raw column read on a metadata-heavy shard, plus the mask-filter
+//! splice — the per-frame costs the field-projection pushdown trades
+//! against a full decode.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::collections::BTreeSet;
 
 use dj_core::Value;
-use dj_store::{encode_columnar_frame, encode_shard_frame, Codec, ColumnarSlab, FrameSlab};
+use dj_store::{encode_columnar_frame, Codec, ColumnarSlab};
 use dj_synth::{web_corpus, WebNoise};
 
 /// A shard whose text is a minority share: every sample carries url,
@@ -34,15 +34,12 @@ fn metadata_heavy_shard(n: usize) -> dj_core::Dataset {
 
 fn bench_columnar(c: &mut Criterion) {
     let shard = metadata_heavy_shard(300);
-    let row_frame = encode_shard_frame(&shard, Codec::Djz);
     let col_frame = encode_columnar_frame(&shard, Codec::Djz);
     let slab = ColumnarSlab::from_frame_bytes(&col_frame).expect("columnar frame parses");
     let text_cols: BTreeSet<String> = ["text", "stats"].iter().map(|s| s.to_string()).collect();
     println!(
-        "shard: {} samples, row frame {} bytes, columnar frame {} bytes, \
-         text column {} of {} raw bytes",
+        "shard: {} samples, frame {} bytes, text column {} of {} raw bytes",
         shard.len(),
-        row_frame.len(),
         col_frame.len(),
         slab.column_raw_len("text").unwrap_or(0),
         slab.total_raw_len(),
@@ -53,14 +50,6 @@ fn bench_columnar(c: &mut Criterion) {
 
     group.bench_function("encode_columnar", |b| {
         b.iter(|| encode_columnar_frame(criterion::black_box(&shard), Codec::Djz))
-    });
-    group.bench_function("decode_row_full", |b| {
-        b.iter(|| {
-            FrameSlab::from_frame_bytes(criterion::black_box(&row_frame))
-                .unwrap()
-                .decode()
-                .unwrap()
-        })
     });
     group.bench_function("decode_columnar_full", |b| {
         b.iter(|| {

@@ -32,9 +32,9 @@ struct Row {
     ingest_mb_per_sec: f64,
     /// Streaming-egress throughput in MB/s (0 for in-memory systems).
     egress_mb_per_sec: f64,
-    /// Raw bytes decoded from spilled frames (columnar runs only).
+    /// Raw bytes decoded from spilled frames (spilled runs only).
     bytes_decoded: u64,
-    /// Raw bytes spliced through without decoding (columnar runs only).
+    /// Raw bytes spliced through without decoding (spilled runs only).
     bytes_passthrough: u64,
     /// Median per-job submit-to-done latency (service rows only).
     p50_seconds: f64,
@@ -341,8 +341,8 @@ fn main() {
             barrier_seconds: report.barrier_duration.as_secs_f64(),
             ingest_mb_per_sec: 0.0,
             egress_mb_per_sec: 0.0,
-            bytes_decoded: 0,
-            bytes_passthrough: 0,
+            bytes_decoded: report.bytes_decoded,
+            bytes_passthrough: report.bytes_passthrough,
             ..Row::default()
         });
 
@@ -396,8 +396,8 @@ fn main() {
             egress_mb_per_sec: report.egress_bytes as f64
                 / 1e6
                 / report.egress_duration.as_secs_f64().max(1e-9),
-            bytes_decoded: 0,
-            bytes_passthrough: 0,
+            bytes_decoded: report.bytes_decoded,
+            bytes_passthrough: report.bytes_passthrough,
             ..Row::default()
         });
         let _ = std::fs::remove_dir_all(&io_dir);
@@ -473,13 +473,12 @@ fn main() {
         let _ = std::fs::remove_dir_all(&stats_dir);
     }
 
-    // Columnar projection on a metadata-heavy corpus: the same C4-style
-    // pipeline over samples dragging provenance columns (url, headers,
-    // render log) the ops never read. Row-format OOC decodes every byte
-    // of every frame; columnar OOC decodes only the projected columns
-    // and splices the metadata through verbatim — the row pair isolates
-    // what projection pushdown buys.
-    section("Columnar projection: metadata-heavy C4");
+    // Projection on a metadata-heavy corpus: the same C4-style pipeline
+    // over samples dragging provenance columns (url, headers, render log)
+    // the ops never read. The spilled run decodes only the projected
+    // columns and splices the metadata through verbatim; the row reports
+    // the split.
+    section("Projection pushdown: metadata-heavy C4");
     {
         use dj_core::Value;
         let np = *nps.last().expect("np sweep non-empty");
@@ -501,50 +500,54 @@ fn main() {
             )
             .expect("sample root is a map");
         }
-        let ooc_opts = |columnar: bool| ExecOptions {
+        let exec = Executor::new(matched_dj_ops(p)).with_options(ExecOptions {
             num_workers: np,
             op_fusion: true,
             trace_examples: 0,
             shard_size: Some(data.len().div_ceil(4 * np.max(1) * 4)),
             memory_budget: Some(1),
-            columnar,
             ..ExecOptions::default()
-        };
-        let mut timed = |system: &'static str, columnar: bool| {
-            let exec = Executor::new(matched_dj_ops(p)).with_options(ooc_opts(columnar));
-            let t0 = Instant::now();
-            let (out, report) = exec.run(data.clone()).expect("meta-heavy pipeline runs");
-            let seconds = t0.elapsed().as_secs_f64();
-            assert!(report.spilled, "1-byte budget must spill");
-            rows.push(Row {
-                dataset: "C4-meta",
-                np,
-                system,
-                seconds,
-                mem_mb: report.peak_resident_bytes as f64 / 1e6,
-                out_len: out.len(),
-                in_len: data.len(),
-                barrier_seconds: report.barrier_duration.as_secs_f64(),
-                ingest_mb_per_sec: 0.0,
-                egress_mb_per_sec: 0.0,
-                bytes_decoded: report.bytes_decoded,
-                bytes_passthrough: report.bytes_passthrough,
-                ..Row::default()
-            });
-            (out, report, seconds)
-        };
-        let (row_out, _, row_s) = timed("Data-Juicer-OOC", false);
-        let (col_out, col_report, col_s) = timed("Data-Juicer-columnar", true);
-        assert_eq!(col_out, row_out, "columnar OOC output diverged");
-        assert!(col_report.columnar);
-        println!(
-            "row OOC {row_s:.3}s | columnar OOC {col_s:.3}s | decoded {:.2} MB, \
-             passthrough {:.2} MB",
-            col_report.bytes_decoded as f64 / 1e6,
-            col_report.bytes_passthrough as f64 / 1e6,
+        });
+        let t0 = Instant::now();
+        let (out, report) = exec.run(data.clone()).expect("meta-heavy pipeline runs");
+        let seconds = t0.elapsed().as_secs_f64();
+        assert!(report.spilled, "1-byte budget must spill");
+        let (expected, _) = Executor::new(matched_dj_ops(p))
+            .with_options(ExecOptions {
+                num_workers: np,
+                trace_examples: 0,
+                memory_budget: Some(u64::MAX),
+                ..ExecOptions::default()
+            })
+            .run(data.clone())
+            .expect("in-memory reference runs");
+        assert_eq!(out, expected, "spilled output diverged from in-memory");
+        assert!(
+            report.bytes_passthrough > 0,
+            "untouched metadata columns must splice through"
         );
-        println!("per-op decode accounting (columnar run):");
-        for op in &col_report.ops {
+        rows.push(Row {
+            dataset: "C4-meta",
+            np,
+            system: "Data-Juicer-OOC",
+            seconds,
+            mem_mb: report.peak_resident_bytes as f64 / 1e6,
+            out_len: out.len(),
+            in_len: data.len(),
+            barrier_seconds: report.barrier_duration.as_secs_f64(),
+            ingest_mb_per_sec: 0.0,
+            egress_mb_per_sec: 0.0,
+            bytes_decoded: report.bytes_decoded,
+            bytes_passthrough: report.bytes_passthrough,
+            ..Row::default()
+        });
+        println!(
+            "OOC {seconds:.3}s | decoded {:.2} MB, passthrough {:.2} MB",
+            report.bytes_decoded as f64 / 1e6,
+            report.bytes_passthrough as f64 / 1e6,
+        );
+        println!("per-op decode accounting:");
+        for op in &report.ops {
             println!(
                 "  {:<56} {:>10.3} MB decoded",
                 op.name,

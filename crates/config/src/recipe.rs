@@ -92,13 +92,6 @@ pub struct Recipe {
     /// chained prefix fingerprint so editing op `k` resumes ops `0..k`
     /// from cache (default `false`; costs a materialization per step).
     pub prefix_cache: bool,
-    /// Columnar shard frames with field-projection pushdown: spilled
-    /// shards are stored as per-column `DJSC` frames and each stage
-    /// decodes only the columns its OPs' field footprints name, splicing
-    /// every other column through byte-for-byte (default `false`; the
-    /// `DJ_COLUMNAR` env var forces it on). Output is byte-identical to
-    /// the row format.
-    pub columnar: bool,
     /// Record-level error policy: `"fail"` (default), `"skip"` or
     /// `"quarantine"`. Under `skip`/`quarantine` a malformed ingest
     /// record or a sample an OP rejects is dropped (and, for quarantine,
@@ -132,7 +125,6 @@ impl Default for Recipe {
             replan_after_shards: None,
             stats_dir: None,
             prefix_cache: false,
-            columnar: false,
             on_error: None,
             max_error_ratio: None,
             process: Vec::new(),
@@ -238,13 +230,6 @@ impl Recipe {
     /// Builder: toggle per-op prefix caching.
     pub fn with_prefix_cache(mut self, enabled: bool) -> Recipe {
         self.prefix_cache = enabled;
-        self
-    }
-
-    /// Builder: toggle columnar spilled-shard frames with field-projection
-    /// pushdown.
-    pub fn with_columnar(mut self, enabled: bool) -> Recipe {
-        self.columnar = enabled;
         self
     }
 
@@ -389,9 +374,6 @@ impl Recipe {
         if let Some(pc) = v.get_path("prefix_cache").and_then(Value::as_bool) {
             recipe.prefix_cache = pc;
         }
-        if let Some(c) = v.get_path("columnar").and_then(Value::as_bool) {
-            recipe.columnar = c;
-        }
         if let Some(p) = v.get_path("on_error").and_then(Value::as_str) {
             if !matches!(p, "fail" | "skip" | "quarantine") {
                 return Err(DjError::Config(format!(
@@ -489,13 +471,8 @@ impl Recipe {
             root.set_path("prefix_cache", Value::Bool(true))
                 .expect("map root");
         }
-        // Emitted only when non-default so existing recipe fingerprints
-        // (and therefore cache keys) are unchanged for row-format runs.
-        if self.columnar {
-            root.set_path("columnar", Value::Bool(true))
-                .expect("map root");
-        }
-        // Same fingerprint-stability rule: only emitted when set.
+        // Emitted only when set so existing recipe fingerprints (and
+        // therefore cache keys) are unchanged.
         if let Some(p) = &self.on_error {
             root.set_path("on_error", Value::from(p.clone()))
                 .expect("map root");
@@ -797,26 +774,13 @@ process:
     }
 
     #[test]
-    fn columnar_knob_roundtrips_and_validates() {
-        let r = sample_recipe().with_columnar(true);
-        assert!(r.columnar);
-        assert!(r.to_yaml().contains("columnar"));
-        let parsed = Recipe::from_yaml(&r.to_yaml()).unwrap();
-        assert_eq!(parsed, r);
-        assert_ne!(
-            r.fingerprint(),
-            sample_recipe().fingerprint(),
-            "columnar participates in the cache key"
-        );
-        let y = Recipe::from_yaml("columnar: true\n").unwrap();
-        assert!(y.columnar);
-        let defaults = Recipe::from_yaml("np: 2\n").unwrap();
-        assert!(!defaults.columnar, "columnar frames are opt-in");
-        assert!(
-            !defaults.to_yaml().contains("columnar"),
-            "default stays out of the canonical serialization so row-format \
-             recipe fingerprints are unchanged"
-        );
+    fn retired_columnar_key_still_parses() {
+        // Every spill frame is columnar now; recipes written when
+        // `columnar:` was a knob still load, and the key is ignored like
+        // any other unknown key.
+        let y = Recipe::from_yaml("np: 2\ncolumnar: true\n").unwrap();
+        assert_eq!(y, Recipe::from_yaml("np: 2\n").unwrap());
+        assert!(!y.to_yaml().contains("columnar"));
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub struct ShardStats {
     /// CPU time this shard spent inside this step.
     pub duration: Duration,
     /// Decoded (decompressed) payload bytes this step's stage read to run
-    /// this shard. Only columnar stages attribute bytes; row-format stages
+    /// this shard. Only spilled stages attribute bytes; in-memory stages
     /// leave it zero. Every step of a fused stage reports the same shard
     /// decode — the stage decodes once for all of them.
     pub bytes_decoded: u64,

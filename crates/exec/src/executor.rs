@@ -18,9 +18,7 @@ use dj_core::{
     Step, Value, WorkerPool,
 };
 use dj_io::{CorpusReader, ErrorLedger, OutputFormat, ShardedWriter};
-use dj_store::{
-    split_column_path, CacheManager, CachedStage, Codec, ShardSpool, STATS_SIDECAR_FILE,
-};
+use dj_store::{split_column_path, CacheManager, Codec, ShardSpool, STATS_SIDECAR_FILE};
 
 use dj_hash::fnv1a;
 
@@ -55,13 +53,6 @@ pub const MEMORY_BUDGET_ENV: &str = "DJ_MEMORY_BUDGET";
 /// opt-in: `ExecOptions::adaptive = true` with a cache attached, or an
 /// explicit [`ExecOptions::stats_dir`].
 pub const ADAPTIVE_ENV: &str = "DJ_ADAPTIVE";
-
-/// Environment override forcing [`ExecOptions::columnar`] on (`1`, `true`
-/// or `yes`; anything else leaves the option as configured). Lets CI run
-/// the whole suite over columnar `DJSC` spill frames with field-projection
-/// pushdown (`DJ_COLUMNAR=1 cargo test`). Output is byte-identical to the
-/// row format, so the override is safe suite-wide.
-pub const COLUMNAR_ENV: &str = "DJ_COLUMNAR";
 
 /// Environment override routing [`Executor::run`] through the
 /// process-wide service runtime (`1`/`true`/`yes`): the dataset is
@@ -102,7 +93,6 @@ pub const FAULTS_ENV: &str = "DJ_FAULTS";
 pub struct EnvKnobs {
     memory_budget: Option<String>,
     adaptive: Option<String>,
-    columnar: Option<String>,
     runtime: Option<String>,
     input: Option<String>,
     faults: Option<String>,
@@ -115,7 +105,6 @@ impl EnvKnobs {
         EnvKnobs {
             memory_budget: grab(MEMORY_BUDGET_ENV),
             adaptive: grab(ADAPTIVE_ENV),
-            columnar: grab(COLUMNAR_ENV),
             runtime: grab(RUNTIME_ENV),
             input: grab(INPUT_ENV),
             faults: grab(FAULTS_ENV),
@@ -158,11 +147,6 @@ impl EnvKnobs {
         Self::flag(&self.adaptive, ADAPTIVE_ENV)
     }
 
-    /// Whether `DJ_COLUMNAR` forces columnar spill frames on.
-    pub fn columnar(&self) -> Result<bool> {
-        Self::flag(&self.columnar, COLUMNAR_ENV)
-    }
-
     /// Whether `DJ_RUNTIME` routes `run` through the service runtime.
     pub fn runtime(&self) -> Result<bool> {
         Self::flag(&self.runtime, RUNTIME_ENV)
@@ -195,7 +179,6 @@ impl EnvKnobs {
     pub fn validate(&self) -> Result<()> {
         self.memory_budget()?;
         self.adaptive()?;
-        self.columnar()?;
         self.runtime()?;
         self.faults()?;
         Ok(())
@@ -292,13 +275,6 @@ pub struct ExecOptions {
     /// development, not production throughput). Only applies to cached
     /// runs.
     pub prefix_cache: bool,
-    /// Store spilled shards as columnar `DJSC` frames and push field
-    /// projections down into the spill reads: each pipeline stage decodes
-    /// only the columns its OPs' declared footprints
-    /// ([`dj_core::Mapper::fields_read`] and friends) name, splicing every
-    /// untouched column through byte-for-byte. Output is byte-identical
-    /// to the row format. Also forced on by the `DJ_COLUMNAR` env var.
-    pub columnar: bool,
     /// Snapshot of the executor env knobs, captured when these options
     /// were constructed. All env reads go through this snapshot so a
     /// long-lived service process gives every job a consistent view.
@@ -349,7 +325,6 @@ impl Default for ExecOptions {
             replan_after_shards: None,
             stats_dir: None,
             prefix_cache: false,
-            columnar: false,
             env: EnvKnobs::capture(),
             job: None,
             on_error: OnError::Fail,
@@ -427,7 +402,7 @@ pub struct OpReport {
     /// time each shard spent inside this step.
     pub duration: Duration,
     pub fused: bool,
-    /// Decompressed spill bytes decoded to run this step (columnar stages
+    /// Decompressed spill bytes decoded to run this step (spilled stages
     /// only; every step of a stage reports the stage's shared decode).
     pub bytes_decoded: u64,
     pub trace: Vec<TraceEvent>,
@@ -494,10 +469,7 @@ pub struct RunReport {
     pub tuned_shard_size: Option<usize>,
     /// Prefetch depth the auto-tuner picked, when it overrode the default.
     pub tuned_prefetch_depth: Option<usize>,
-    /// Whether columnar spill frames with projection pushdown were in
-    /// force (option or `DJ_COLUMNAR` env).
-    pub columnar: bool,
-    /// Decompressed bytes the columnar stages actually decoded — the
+    /// Decompressed bytes the spilled stages actually decoded — the
     /// projected columns' share of the spilled data (plus full decodes
     /// where a step declared `FieldSet::All` or tracing was on).
     pub bytes_decoded: u64,
@@ -694,12 +666,6 @@ impl Executor {
         Ok(self.options.adaptive || self.options.env.adaptive()?)
     }
 
-    /// Whether columnar spill frames are in force: the explicit option, or
-    /// the `DJ_COLUMNAR` snapshot (`1`/`true`/`yes`).
-    fn effective_columnar(&self) -> Result<bool> {
-        Ok(self.options.columnar || self.options.env.columnar()?)
-    }
-
     /// Install the fault plan in force — the explicit option, else the
     /// `DJ_FAULTS` snapshot — for the duration of the returned guard.
     /// Resolution is memoized on the options value so retry attempts
@@ -734,14 +700,9 @@ impl Executor {
         Ok(ledger)
     }
 
-    /// A fresh spill spool in the mode in force — columnar `DJSC` frames
-    /// when columnar execution is on, row `DJSF` frames otherwise.
+    /// A fresh spill spool in a run-private directory.
     fn new_spool(&self, slots: usize) -> Result<ShardSpool> {
-        if self.effective_columnar()? {
-            ShardSpool::create_columnar(self.fresh_spill_dir(), slots, SPILL_CODEC)
-        } else {
-            ShardSpool::create(self.fresh_spill_dir(), slots, SPILL_CODEC)
-        }
+        ShardSpool::create(self.fresh_spill_dir(), slots, SPILL_CODEC)
     }
 
     /// Where the cost-model sidecar persists, if anywhere: an explicit
@@ -896,7 +857,6 @@ impl Executor {
             stages: stages.len(),
             spilled: true,
             measured_steps: plan.measured_steps,
-            columnar: self.effective_columnar()?,
             ..RunReport::default()
         };
         let shard_size = self
@@ -982,7 +942,7 @@ impl Executor {
 
     /// Write the final dataset as manifest-tracked shard parts. JSONL
     /// parts stream shard-by-shard through the worker pool; `frames`
-    /// egress of spilled data copies the raw spool frames byte-for-byte —
+    /// egress of spilled data copies the spool's frames byte-for-byte —
     /// zero decode, zero re-encode.
     fn write_output(
         &self,
@@ -993,21 +953,6 @@ impl Executor {
     ) -> Result<()> {
         let writer = ShardedWriter::create(dir, self.options.output_format)?;
         match (data, self.options.output_format) {
-            // A columnar spool's slots hold `DJSC` frames; the frame
-            // output contract is row (`DJSF`) frames byte-identical to a
-            // row-format run, so decode and re-encode instead of copying
-            // slot bytes through.
-            (StageData::Spilled(spool), OutputFormat::Frames) if spool.is_columnar() => {
-                let writer_ref = &writer;
-                stream_shards(
-                    spool,
-                    self.options.num_workers.max(1),
-                    true,
-                    self.options.prefetch_depth,
-                    ctl,
-                    |i, shard| writer_ref.store_shard(i, &shard),
-                )?;
-            }
             (StageData::Spilled(spool), OutputFormat::Frames) => {
                 for i in 0..spool.shard_count() {
                     let mut frame = Vec::new();
@@ -1205,7 +1150,6 @@ impl Executor {
             fused_groups: plan.fused_groups,
             stages: stages.len(),
             measured_steps: plan.measured_steps,
-            columnar: self.effective_columnar()?,
             ..RunReport::default()
         };
         let mut data = StageData::Mem(vec![dataset]);
@@ -1215,34 +1159,9 @@ impl Executor {
         // execution (the §4.1.1 resilience goal).
         let mut first_stage = 0;
         if let Some(cm) = cache {
-            // With a budget in force, streamed (spilled) entries rehydrate
-            // into a spool so resume never materializes the dataset either.
-            let resumed = if budget.is_some() {
-                cm.latest_match_streamed(&keys, self.fresh_spill_dir())
-            } else {
-                cm.latest_match(&keys)
-                    .map(|o| o.map(|(idx, ds)| (idx, CachedStage::Mem(ds))))
-            };
-            if let Ok(Some((idx, cached))) = resumed {
-                data = match cached {
-                    CachedStage::Mem(ds) => StageData::Mem(vec![ds]),
-                    // A multi-frame entry may come from carried in-memory
-                    // shards (`save_shards`), not only from a spill — pull
-                    // it back into memory when it fits the budget so an
-                    // under-budget run never downgrades to out-of-core on
-                    // resume. The probe loads shard by shard and bails the
-                    // moment the budget is exceeded, so it never holds
-                    // more than `budget` bytes.
-                    CachedStage::Spooled(spool) => {
-                        match materialize_within(&spool, budget.unwrap_or(u64::MAX))? {
-                            Some(shards) => StageData::Mem(shards),
-                            None => {
-                                report.spilled = true;
-                                StageData::Spilled(spool)
-                            }
-                        }
-                    }
-                };
+            if let Ok(Some((idx, resumed))) = self.resume(cm, &keys, budget) {
+                report.spilled = matches!(resumed, StageData::Spilled(_));
+                data = resumed;
                 first_stage = idx + 1;
                 report.resumed_steps = stages[..first_stage].iter().map(Stage::step_count).sum();
             }
@@ -1262,27 +1181,15 @@ impl Executor {
             if let Some(cm) = cache {
                 let key = &keys[i].1;
                 match &data {
-                    // Carried shards persist as a multi-frame stream
-                    // straight from the borrowed shards, so caching never
-                    // forces the merge (or a clone) the carry-through
-                    // avoided.
-                    StageData::Mem(shards) if shards.len() > 1 => {
-                        cm.save_shards(i, key, shards)?;
-                    }
-                    StageData::Mem(shards) => {
-                        if let Some(ds) = shards.first() {
-                            cm.save(i, key, ds)?;
-                        } else {
-                            cm.save(i, key, &Dataset::new())?;
-                        }
-                    }
+                    // Carried shards persist one frame per shard straight
+                    // from the borrowed shards, so caching never forces the
+                    // merge (or a clone) the carry-through avoided.
+                    StageData::Mem(shards) => cm.save_shards(i, key, shards)?,
                     // Spilled stages persist without materializing: the
-                    // spool's raw frame files concatenate into the entry —
-                    // no decode/re-encode, one sequential copy per shard.
-                    StageData::Spilled(spool) => {
-                        cm.save_spool(i, key, spool)?;
-                    }
-                }
+                    // spool's frame files concatenate into the entry — no
+                    // decode/re-encode, one sequential copy per shard.
+                    StageData::Spilled(spool) => cm.save_spool(i, key, spool)?,
+                };
             }
         }
         report.final_samples = data.len();
@@ -1300,6 +1207,33 @@ impl Executor {
             StageData::Spilled(spool) => spool.materialize()?,
         };
         Ok((out, report))
+    }
+
+    /// Load the longest cached stage prefix. Without a budget the entry is
+    /// decoded into memory. With one it is rehydrated into a spool by frame
+    /// copy and pulled back into memory only when it fits the budget — an
+    /// under-budget run never downgrades to out-of-core on resume, and the
+    /// probe loads shard by shard, bailing out the moment the budget is
+    /// exceeded, so it never holds more than `budget` bytes.
+    fn resume(
+        &self,
+        cm: &CacheManager,
+        keys: &[(usize, String)],
+        budget: Option<u64>,
+    ) -> Result<Option<(usize, StageData)>> {
+        let Some(budget) = budget else {
+            return Ok(cm
+                .latest_match(keys)?
+                .map(|(idx, ds)| (idx, StageData::Mem(vec![ds]))));
+        };
+        let Some((idx, spool)) = cm.latest_match_streamed(keys, self.fresh_spill_dir())? else {
+            return Ok(None);
+        };
+        let data = match materialize_within(&spool, budget)? {
+            Some(shards) => StageData::Mem(shards),
+            None => StageData::Spilled(spool),
+        };
+        Ok(Some((idx, data)))
     }
 
     /// Run one stage over the dataset, spilling first if the budget
@@ -1435,9 +1369,9 @@ impl Executor {
     }
 
     /// In-memory pipeline stage: stream the carried shards through the
-    /// stage via the shared driver, carrying per-shard outcomes onward in
-    /// shard order (output order is independent of worker scheduling, so
-    /// any shard count produces byte-identical results).
+    /// whole stage, carrying per-shard outcomes onward in shard order
+    /// (output order is independent of worker scheduling, so any shard
+    /// count produces byte-identical results).
     fn run_pipeline_stage(
         &self,
         steps: &[PlanStep],
@@ -1451,44 +1385,49 @@ impl Executor {
         let shards = self.reshard(shards);
         let n = shards.len();
         let source = MemShardStore::from_shards(shards);
-        let sink = MemShardStore::with_capacity(n);
-        self.run_pipeline_stage_streamed(steps, &source, &sink, false, None, ctl, report)?;
-        sink.into_shards()
-    }
-
-    /// Disk-backed pipeline stage: stream shards spool→spool with
-    /// IO-overlapped prefetch. When the next stage is a dedup barrier,
-    /// output shards are fingerprinted as their frames are written
-    /// (fingerprint-on-ingest) so the barrier skips its hash pass.
-    fn run_pipeline_stage_spilled(
-        &self,
-        steps: &[PlanStep],
-        spool: &ShardSpool,
-        next_dedup: Option<&dyn Deduplicator>,
-        ctl: &RunCtl,
-        report: &mut RunReport,
-    ) -> Result<ShardSpool> {
-        // Projection pushdown needs the input slots to actually hold
-        // columnar frames; a row-mode spool (e.g. rehydrated from a cache
-        // entry saved by a row run) streams through the full-decode path
-        // and converts at the output spool.
-        if self.effective_columnar()? && spool.is_columnar() {
-            return self.run_pipeline_stage_columnar(steps, spool, next_dedup, ctl, report);
+        let cap = self.options.trace_examples;
+        report.shards = report.shards.max(n);
+        let workers = self.options.num_workers.max(1).min(n.max(1));
+        let depth = self.options.prefetch_depth;
+        let sched = self.stage_schedule(steps, n);
+        let per_shard = stream_shards(&source, workers, false, depth, ctl, |i, shard| {
+            let mut ctx = SampleContext::new();
+            // With a schedule, each shard runs whatever step order is
+            // current when it starts; its stats/traces are remapped onto
+            // canonical positions before merging, and feeding them back may
+            // trigger the (single) mid-run replan. Kept samples pass every
+            // filter of a commutable window under any order and collect the
+            // same (key-sorted) stats, so output is byte-identical.
+            let outcome = match &sched {
+                None => run_stage_on_shard(steps, shard, &mut ctx, cap, ctl.ledger(), i)?,
+                Some(sched) => {
+                    let order = sched.order();
+                    let raw =
+                        run_stage_on_shard(&order.steps, shard, &mut ctx, cap, ctl.ledger(), i)?;
+                    let outcome = remap_outcome(&order, raw);
+                    sched.observe(&outcome.stats);
+                    outcome
+                }
+            };
+            Ok((outcome.shard, (outcome.stats, outcome.traces)))
+        })?;
+        let (out, per_shard): (Vec<Dataset>, Vec<_>) = per_shard.into_iter().unzip();
+        merge_stage_reports(steps, per_shard, cap, report);
+        if let Some(sched) = &sched {
+            report.replans += sched.replans.load(Ordering::Relaxed);
         }
-        let out = self.new_spool(spool.shard_count())?;
-        let fingerprint = next_dedup.map(|d| (d, &out));
-        self.run_pipeline_stage_streamed(steps, spool, &out, true, fingerprint, ctl, report)?;
         Ok(out)
     }
 
-    /// Projection-aware pipeline stage over a columnar spool: compute the
+    /// Disk-backed pipeline stage with projection pushdown: compute the
     /// stage's needed-column set from the steps' field footprints, decode
-    /// only those regions of each `DJSC` frame, run the stage on the
+    /// only those regions of each spilled frame, run the stage on the
     /// projected samples, and splice every untouched column from the input
     /// frame into the output frame byte-for-byte. When the next stage is a
-    /// dedup barrier its read footprint joins the decode set so the
-    /// fingerprint-on-spill pass sees the hashed field.
-    fn run_pipeline_stage_columnar(
+    /// dedup barrier its read footprint joins the decode set, and each
+    /// output shard is fingerprinted as its frame is written
+    /// (fingerprint-on-ingest) so the barrier skips its hash pass.
+    fn run_pipeline_stage_spilled(
         &self,
         steps: &[PlanStep],
         spool: &ShardSpool,
@@ -1501,7 +1440,7 @@ impl Executor {
         report.shards = report.shards.max(n);
         let workers = self.options.num_workers.max(1).min(n.max(1));
         let cols = stage_decode_columns(steps, next_dedup, cap);
-        let out = ShardSpool::create_columnar(self.fresh_spill_dir(), n, SPILL_CODEC)?;
+        let out = self.new_spool(n)?;
         // Mid-run replanning composes with projection: reordering only
         // permutes commutable steps, which never changes the stage's
         // union footprint, so the decode set stays valid under any order.
@@ -1510,7 +1449,7 @@ impl Executor {
         type ColShard = (Vec<ShardStats>, Vec<Vec<TraceEvent>>, u64, u64);
         let slots: Vec<Result<ColShard>> = WorkerPool::global().run_indexed(workers, n, |i| {
             ctl.check()?;
-            let slab = spool.read_columnar_slab(i)?;
+            let slab = spool.read_frame_slab(i)?;
             let (projected, decoded) = slab.decode_projected(cols.as_ref())?;
             let (s, b) = (projected.len(), slab.payload_len());
             ctl.acquire(s, b);
@@ -1560,63 +1499,6 @@ impl Executor {
             report.replans += sched.replans.load(Ordering::Relaxed);
         }
         Ok(out)
-    }
-
-    /// Drive a run of sample-local steps whole-stage-per-shard over any
-    /// source/sink pair, merging per-shard stats and traces in shard order.
-    /// With `fingerprint`, each output shard is hashed for the given
-    /// deduplicator right after it is stored, and the fingerprints persist
-    /// as a spool sidecar.
-    #[allow(clippy::too_many_arguments)]
-    fn run_pipeline_stage_streamed(
-        &self,
-        steps: &[PlanStep],
-        source: &dyn ShardSource,
-        sink: &dyn ShardSink,
-        overlap_io: bool,
-        fingerprint: Option<(&dyn Deduplicator, &ShardSpool)>,
-        ctl: &RunCtl,
-        report: &mut RunReport,
-    ) -> Result<()> {
-        let cap = self.options.trace_examples;
-        let n = source.shard_count();
-        report.shards = report.shards.max(n);
-        let workers = self.options.num_workers.max(1).min(n.max(1));
-        let depth = self.options.prefetch_depth;
-        let sched = self.stage_schedule(steps, n);
-        let per_shard = stream_shards(source, workers, overlap_io, depth, ctl, |i, shard| {
-            let mut ctx = SampleContext::new();
-            // With a schedule, each shard runs whatever step order is
-            // current when it starts; its stats/traces are remapped onto
-            // canonical positions before merging, and feeding them back may
-            // trigger the (single) mid-run replan. Kept samples pass every
-            // filter of a commutable window under any order and collect the
-            // same (key-sorted) stats, so output is byte-identical.
-            let outcome = match &sched {
-                None => run_stage_on_shard(steps, shard, &mut ctx, cap, ctl.ledger(), i)?,
-                Some(sched) => {
-                    let order = sched.order();
-                    let raw =
-                        run_stage_on_shard(&order.steps, shard, &mut ctx, cap, ctl.ledger(), i)?;
-                    let outcome = remap_outcome(&order, raw);
-                    sched.observe(&outcome.stats);
-                    outcome
-                }
-            };
-            if let Some((dedup, fp_spool)) = fingerprint {
-                let hashes = hash_shard(dedup, &outcome.shard)?;
-                sink.store_shard(i, outcome.shard)?;
-                fp_spool.write_fingerprints(i, &hashes)?;
-            } else {
-                sink.store_shard(i, outcome.shard)?;
-            }
-            Ok((outcome.stats, outcome.traces))
-        })?;
-        merge_stage_reports(steps, per_shard, cap, report);
-        if let Some(sched) = &sched {
-            report.replans += sched.replans.load(Ordering::Relaxed);
-        }
-        Ok(())
     }
 
     /// A dedup barrier with shard carry-through: fingerprints are computed
@@ -1718,10 +1600,9 @@ impl Executor {
     /// sidecars present this is a *single* streaming pass: the hashes are
     /// read from the tiny sidecars, the mask is clustered from them alone,
     /// and one pass re-streams the shards against their mask slice.
-    /// Without sidecars the hashes are computed first — zero-copy from the
-    /// frame slabs when the dedup hashes a single field, or by a full
-    /// decode streaming pass otherwise (two passes total, the legacy
-    /// behavior).
+    /// Without sidecars the hashes are computed first — from the hashed
+    /// field's column alone when the dedup hashes a single field, or by a
+    /// full-decode streaming pass otherwise (two passes total).
     fn run_dedup_stage_spilled(
         &self,
         dedup: &dyn dj_core::Deduplicator,
@@ -1746,28 +1627,17 @@ impl Executor {
                 h
             }
             None => match dedup.hash_field() {
-                // Columnar fast path: read only the hashed field's column
-                // region out of each `DJSC` frame — every other column's
-                // bytes never leave disk compression.
-                Some(field) if spool.is_columnar() => {
+                // Read only the hashed field's column region out of each
+                // frame — every other column's bytes never leave disk
+                // compression.
+                Some(field) => {
                     let (h, bytes) = self.columnar_hashes(dedup, spool, field, ctl)?;
                     barrier_bytes = bytes;
                     h
                 }
-                // Zero-copy fallback: hash straight out of the frame
-                // slabs — one read + checksum + decompress per shard, the
-                // field text borrowed from the slab, no Sample decode.
-                Some(field) => self.slab_hashes(dedup, spool, field, ctl)?,
-                // Legacy fallback: full-decode streaming hash pass.
+                // No single hashed field: full-decode streaming hash pass.
                 None => stream_shards(spool, workers, true, depth, ctl, |_, shard| {
-                    let mut ctx = SampleContext::new();
-                    let mut out = Vec::with_capacity(shard.len());
-                    for s in shard.iter() {
-                        ctx.invalidate();
-                        out.push(dedup.compute_hash(s, &mut ctx)?);
-                        ctx.clear();
-                    }
-                    Ok(out)
+                    hash_shard(dedup, &shard)
                 })?
                 .into_iter()
                 .flatten()
@@ -1797,15 +1667,15 @@ impl Executor {
         let offsets_ref = &offsets;
         let out_ref = &out;
         let mut trace = Vec::new();
-        if spool.is_columnar() && cap == 0 {
-            // Columnar fast path: drop masked-out samples by re-writing
+        if cap == 0 {
+            // Fast path: drop masked-out samples by re-writing
             // each frame's entry ranges — no column is ever decoded into
             // `Value`s, so the surviving bytes splice through verbatim.
             // (Duplicate traces need sample text, so a non-zero cap takes
             // the decode path below instead.)
             let slots: Vec<Result<u64>> = WorkerPool::global().run_indexed(workers, n, |i| {
                 ctl.check()?;
-                let slab = spool.read_columnar_slab(i)?;
+                let slab = spool.read_frame_slab(i)?;
                 let samples = slab.sample_count();
                 ctl.acquire(samples, slab.payload_len());
                 let run = (|| {
@@ -1902,46 +1772,6 @@ impl Executor {
         Ok(hashes)
     }
 
-    /// Shard-parallel fingerprints straight from the spool's frame slabs:
-    /// each worker claims a shard index, loads the frame once (read +
-    /// checksum + decompress into a slab), walks the serialized samples in
-    /// place and hashes the borrowed field text — no `Sample`
-    /// materialization, no second copy of the corpus text.
-    fn slab_hashes(
-        &self,
-        dedup: &dyn Deduplicator,
-        spool: &ShardSpool,
-        field: &str,
-        ctl: &RunCtl,
-    ) -> Result<Vec<Value>> {
-        let n = spool.shard_count();
-        let workers = self.options.num_workers.max(1).min(n.max(1));
-        let slots: Vec<Result<Vec<Value>>> = WorkerPool::global().run_indexed(workers, n, |i| {
-            ctl.check()?;
-            let slab = spool.read_frame_slab(i)?;
-            let samples = slab.sample_count()?;
-            ctl.acquire(samples, slab.payload_len());
-            let hashed = slab.texts_at(field).and_then(|texts| {
-                let mut ctx = SampleContext::new();
-                let mut out = Vec::with_capacity(texts.len());
-                for t in &texts {
-                    ctx.invalidate();
-                    out.push(dedup.compute_hash_text(t, &mut ctx)?);
-                    ctx.clear();
-                }
-                Ok(out)
-            });
-            ctl.release(samples, slab.payload_len());
-            hashed
-        });
-        Ok(slots
-            .into_iter()
-            .collect::<Result<Vec<_>>>()?
-            .into_iter()
-            .flatten()
-            .collect())
-    }
-
     /// Shard-parallel fingerprints from columnar frames: decompress only
     /// the hashed field's column region per shard and hash the borrowed
     /// texts. Returns the flattened hashes plus the raw bytes decoded (the
@@ -1959,7 +1789,7 @@ impl Executor {
         type ColHashes = (Vec<Value>, u64);
         let slots: Vec<Result<ColHashes>> = WorkerPool::global().run_indexed(workers, n, |i| {
             ctl.check()?;
-            let slab = spool.read_columnar_slab(i)?;
+            let slab = spool.read_frame_slab(i)?;
             let samples = slab.sample_count();
             ctl.acquire(samples, slab.payload_len());
             let run = (|| {
@@ -2057,7 +1887,7 @@ fn merge_stage_reports(
     }
 }
 
-/// The top-level columns a columnar pipeline stage must decode, or `None`
+/// The top-level columns a spilled pipeline stage must decode, or `None`
 /// for every column.
 ///
 /// The set is the union of every step's read+write footprint, plus the
@@ -2694,7 +2524,7 @@ struct ShardOutcome {
     stats: Vec<ShardStats>,
     traces: Vec<Vec<TraceEvent>>,
     /// Per input sample, whether it survived the stage (in input order).
-    /// The columnar splice path uses this to filter passthrough columns
+    /// The spilled splice path uses this to filter passthrough columns
     /// without ever decoding them.
     keep: Vec<bool>,
 }
@@ -2880,7 +2710,6 @@ pub fn executor_from_recipe(
         replan_after_shards: recipe.replan_after_shards,
         stats_dir: recipe.stats_dir.as_ref().map(PathBuf::from),
         prefix_cache: recipe.prefix_cache,
-        columnar: recipe.columnar,
         on_error: match recipe.on_error.as_deref() {
             Some(name) => OnError::from_name(name)?,
             None => OnError::Fail,

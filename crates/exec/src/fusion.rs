@@ -68,7 +68,7 @@ impl PlanStep {
     }
 
     /// Union of every field this step reads or writes — the projection the
-    /// columnar executor must decode for a stage containing it. Fused
+    /// spilled executor must decode for a stage containing it. Fused
     /// steps union their members; any member declaring
     /// [`FieldSet::All`] makes the whole step opaque.
     pub fn footprint(&self) -> FieldSet {

@@ -90,15 +90,12 @@
 //! 1. The dataset is cut into shards sized so the streaming live set fits
 //!    the budget (an explicit `shard_size` is honored as-is) and each shard
 //!    is written to a `dj-store` [`ShardSpool`](dj_store::ShardSpool) — a
-//!    directory of length-prefixed, checksummed, atomically-renamed frame
-//!    files under `spill_dir` (default: the system temp dir).
-//! 2. Each pipeline stage streams spool→spool: a loader thread prefetches
-//!    shards into a bounded channel while workers drive them through the
-//!    whole stage and spill the results — `prefetch_depth`-deep
-//!    buffering (default 2 = double buffering), so disk IO overlaps
-//!    compute and at most `prefetch_depth × num_workers` shards
+//!    directory of length-prefixed, checksummed, atomically-renamed `DJSC`
+//!    frame files under `spill_dir` (default: the system temp dir).
+//! 2. Each pipeline stage streams spool→spool on the worker pool, at most
+//!    one shard per worker resident at a time
 //!    (`RunReport::peak_resident_samples` ≤ `num_workers ×
-//!    prefetch_depth × shard_size`) are ever resident.
+//!    prefetch_depth × shard_size`).
 //! 3. When the stage feeding a dedup barrier spills, each shard is
 //!    hashed as its frame is written and the fingerprints persist in a
 //!    sidecar (fingerprint-on-ingest; see `docs/formats.md`). The
@@ -107,20 +104,19 @@
 //!    pool, exactly like the in-memory barrier — and one pass
 //!    re-streams each shard against its slice of the mask
 //!    (`RunReport::fingerprinted_barriers` counts these). Without
-//!    sidecars the barrier falls back to a zero-copy slab hash pass
-//!    (undecoded frames, `Cow` texts) before the mask-apply pass.
-//! 4. Cache/checkpoint entries of spilled stages are written as multi-frame
-//!    shard streams (`CacheManager::save_streamed`), so persistence and
-//!    resume also never materialize the dataset.
-//! 5. With [`ExecOptions::columnar`] (recipe `columnar: true`, or
-//!    `DJ_COLUMNAR=1`) spilled shards use the columnar `DJSC` frame
-//!    format and every pipeline stage decodes only the top-level columns
+//!    sidecars the barrier first hashes the dedup's field straight out of
+//!    its column region (or, for a dedup without a single hashed field,
+//!    by a full-decode streaming pass).
+//! 4. Cache/checkpoint entries are streams of `DJSC` frames
+//!    (`CacheManager::save_spool` concatenates a spilled stage's frame
+//!    files), so persistence and resume never materialize the dataset.
+//! 5. Every spilled pipeline stage decodes only the top-level columns
 //!    named by its steps' field footprints
 //!    ([`Mapper::fields_read`](dj_core::Mapper::fields_read) et al.);
 //!    untouched columns splice into the output frame byte-for-byte
 //!    without ever materializing values. `RunReport::bytes_decoded` /
 //!    `RunReport::bytes_passthrough` account the split, and outputs stay
-//!    byte-identical to row-format runs.
+//!    byte-identical to in-memory runs.
 //!
 //! ## File-backed execution ([`Executor::run_io`])
 //!
@@ -160,8 +156,8 @@ pub mod runtime;
 pub use cost::{fallback_score, rank_score, CostModel, EWMA_ALPHA, MIN_MEASURED_SAMPLES};
 pub use executor::{
     default_parallelism, executor_from_recipe, BarrierDecision, EnvKnobs, ExecOptions, Executor,
-    OpReport, RunReport, TraceEvent, ADAPTIVE_ENV, COLUMNAR_ENV, DEFAULT_IO_SHARD_SIZE,
-    DEFAULT_PREFETCH_DEPTH, FAULTS_ENV, INPUT_ENV, MEMORY_BUDGET_ENV, RUNTIME_ENV,
+    OpReport, RunReport, TraceEvent, ADAPTIVE_ENV, DEFAULT_IO_SHARD_SIZE, DEFAULT_PREFETCH_DEPTH,
+    FAULTS_ENV, INPUT_ENV, MEMORY_BUDGET_ENV, RUNTIME_ENV,
 };
 pub use fusion::{plan_fused, plan_fused_measured, plan_unfused, Plan, PlanStep, Stage};
 pub use io::{CorpusReader, EgressManifest, OutputFormat, ShardedWriter};

@@ -9,7 +9,7 @@
 //! - [`JsonlReader`] / [`CsvReader`] stream one file each; malformed
 //!   records are typed `path:line` parse errors, never panics.
 //! - [`ShardedWriter`] writes manifest-tracked sharded output (JSONL or
-//!   raw `DJSF` frames), each part committed atomically (temp + rename)
+//!   raw `DJSC` frames), each part committed atomically (temp + rename)
 //!   and logged so a killed run resumes without rewriting finished parts.
 //! - [`EgressManifest`] is the sealed description of an output directory:
 //!   per-part sample counts, byte sizes and FNV-1a checksums.

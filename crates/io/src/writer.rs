@@ -19,16 +19,17 @@ use std::sync::Mutex;
 use dj_core::{faults, parse_json, sync, Dataset, DjError, Result, ShardSink, Value};
 use dj_hash::fnv1a;
 use dj_store::codec::Codec;
+use dj_store::encode_shard_frame;
 use dj_store::serialize::write_jsonl_into;
-use dj_store::shard_stream::encode_shard_frame;
 
 /// Egress file formats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutputFormat {
     /// One JSON document per line — the interchange default.
     Jsonl,
-    /// Checksummed shard frames (`DJSF`) — the zero-copy spool format,
-    /// re-ingestable without a decode/encode round-trip.
+    /// Checksummed `DJSC` shard frames — the spool's own format, so
+    /// spilled data egresses by copying frames, no decode/encode
+    /// round-trip.
     Frames,
 }
 
@@ -484,7 +485,7 @@ mod tests {
     fn store_frame_bytes_requires_frames_format() {
         let dir = tmpdir("fmt");
         let w = ShardedWriter::create(&dir, OutputFormat::Jsonl).unwrap();
-        assert!(w.store_frame_bytes(0, b"DJSF....", 1).is_err());
+        assert!(w.store_frame_bytes(0, b"DJSC....", 1).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -41,7 +41,7 @@ impl RangeBound {
 
 /// Stats-driven filters read their configured text field plus the `stats`
 /// column (statistics may be pre-seeded by an analyzer pass) and write only
-/// into `stats` — the footprint the columnar executor projects on.
+/// into `stats` — the footprint the spilled executor projects on.
 macro_rules! stat_filter_footprint {
     () => {
         fn fields_read(&self) -> FieldSet {

@@ -12,7 +12,7 @@ use dj_core::{
 use dj_text::normalize;
 
 /// Every mapper in this catalog reads and rewrites exactly its configured
-/// text field — declare that footprint so the columnar executor can decode
+/// text field — declare that footprint so the spilled executor can decode
 /// only that column and splice the rest through untouched.
 macro_rules! field_footprint {
     () => {

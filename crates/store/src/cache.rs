@@ -11,20 +11,26 @@
 //!   entries are cleaned up after each successful save (Appendix A.2's
 //!   3×S peak-space pipeline).
 //!
-//! Entries are optionally compressed with a [`Codec`].
+//! Every entry is a stream of one or more `DJSC` shard frames, so entries
+//! are checksummed end to end and spilled stages persist (and resume) by
+//! copying frames, never by decoding them. Entry regions are compressed
+//! with the manager's [`Codec`].
 
 use std::fs;
+use std::io::{BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use dj_core::{Dataset, Result};
 
-use crate::codec::{compress, decompress, Codec};
-use crate::columnar::COLUMNAR_FRAME_MAGIC;
-use crate::serialize::{from_bytes, to_bytes};
-use crate::shard_stream::{
-    count_frames, read_shard_stream, ShardSpool, ShardStreamReader, ShardStreamWriter,
-    SHARD_FRAME_MAGIC,
-};
+use crate::codec::Codec;
+use crate::shard_stream::{read_frame_slab, read_shard_stream, write_shard_frame, ShardSpool};
+
+/// File extension of cache entries; the digit is the cache format
+/// version. Version 2 entries are `DJSC` frame streams. Entries of older
+/// versions (`.djc`: unchecksummed whole-dataset payloads or row-frame
+/// streams) are never listed, so a version bump makes them go cold
+/// instead of being parsed.
+pub const CACHE_ENTRY_EXT: &str = "djc2";
 
 /// Cache retention policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,105 +92,54 @@ impl CacheManager {
     }
 
     fn entry_path(&self, op_index: usize, op_name: &str) -> PathBuf {
-        self.dir()
-            .join(format!("{op_index:04}-{}.djc", safe_name(op_name)))
+        self.dir().join(format!(
+            "{op_index:04}-{}.{CACHE_ENTRY_EXT}",
+            safe_name(op_name)
+        ))
     }
 
-    /// Persist the dataset state after OP `op_index`. In checkpoint mode,
-    /// earlier entries are removed *after* the new entry is safely written
-    /// (so a crash can at worst leave one extra file, never zero).
-    pub fn save(&self, op_index: usize, op_name: &str, dataset: &Dataset) -> Result<PathBuf> {
-        if self.mode == CacheMode::Disabled {
-            return Ok(PathBuf::new());
-        }
-        let dir = self.dir();
-        fs::create_dir_all(&dir)?;
-        let path = self.entry_path(op_index, op_name);
-        let tmp = path.with_extension("tmp");
-        let frame = compress(&to_bytes(dataset), self.codec);
-        fs::write(&tmp, &frame)?;
-        fs::rename(&tmp, &path)?;
-        if self.mode == CacheMode::Checkpoint {
-            for entry in list_entries(&dir)? {
-                if entry.op_index != op_index {
-                    let _ = fs::remove_file(&entry.path);
-                }
-            }
-        }
-        Ok(path)
-    }
-
-    /// Persist a stage that lives on disk as spilled shards without ever
-    /// materializing it: shard frames are appended to the entry as a
-    /// multi-frame stream (each `shards` item is loaded, written, and
-    /// dropped). The entry loads back through the same `load`/
-    /// `latest_match` calls as a monolithic one.
-    pub fn save_streamed<I>(&self, op_index: usize, op_name: &str, shards: I) -> Result<PathBuf>
-    where
-        I: IntoIterator<Item = Result<Dataset>>,
-    {
-        self.save_frames(op_index, op_name, shards)
-    }
-
-    /// Persist an in-memory sharded stage as a multi-frame entry straight
-    /// from borrowed shards — no clone, no materialization. The entry
-    /// loads back through the same `load`/`latest_match` calls as a
-    /// monolithic one.
+    /// Persist the dataset state after OP `op_index` as one frame per
+    /// shard, straight from the borrowed shards — no clone, no merge.
     pub fn save_shards(
         &self,
         op_index: usize,
         op_name: &str,
         shards: &[Dataset],
     ) -> Result<PathBuf> {
-        self.save_frames(op_index, op_name, shards.iter().map(Ok))
+        self.commit(op_index, op_name, |out| {
+            for shard in shards {
+                write_shard_frame(out, shard, self.codec)?;
+            }
+            Ok(())
+        })
     }
 
-    fn save_frames<I, D>(&self, op_index: usize, op_name: &str, shards: I) -> Result<PathBuf>
-    where
-        I: IntoIterator<Item = Result<D>>,
-        D: std::borrow::Borrow<Dataset>,
-    {
-        if self.mode == CacheMode::Disabled {
-            return Ok(PathBuf::new());
-        }
-        let dir = self.dir();
-        fs::create_dir_all(&dir)?;
-        let path = self.entry_path(op_index, op_name);
-        let tmp = path.with_extension("tmp");
-        let mut writer =
-            ShardStreamWriter::new(std::io::BufWriter::new(fs::File::create(&tmp)?), self.codec);
-        let mut failed = None;
-        for shard in shards {
-            if let Err(e) = shard.and_then(|s| writer.write(s.borrow())) {
-                failed = Some(e);
-                break;
-            }
-        }
-        if let Some(e) = failed {
-            drop(writer);
-            let _ = fs::remove_file(&tmp);
-            return Err(e);
-        }
-        writer.finish()?;
-        fs::rename(&tmp, &path)?;
-        if self.mode == CacheMode::Checkpoint {
-            for entry in list_entries(&dir)? {
-                if entry.op_index != op_index {
-                    let _ = fs::remove_file(&entry.path);
-                }
-            }
-        }
-        Ok(path)
-    }
-
-    /// Persist a spilled stage by concatenating its spool's raw frame
-    /// files into a multi-frame entry — no decode/re-encode round-trip and
-    /// no materialization; one sequential copy per shard.
+    /// Persist a spilled stage by concatenating its spool's frame files
+    /// into the entry — no decode/re-encode round-trip and no
+    /// materialization; one sequential copy per shard.
     pub fn save_spool(
         &self,
         op_index: usize,
         op_name: &str,
         spool: &ShardSpool,
+    ) -> Result<PathBuf> {
+        self.commit(op_index, op_name, |out| {
+            for i in 0..spool.shard_count() {
+                spool.copy_shard_frame_into(i, out)?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Write an entry through `fill` to a temp file and atomically rename
+    /// it into place. In checkpoint mode, earlier entries are removed
+    /// *after* the new entry is safely written (so a crash can at worst
+    /// leave one extra file, never zero).
+    fn commit(
+        &self,
+        op_index: usize,
+        op_name: &str,
+        fill: impl FnOnce(&mut BufWriter<fs::File>) -> Result<()>,
     ) -> Result<PathBuf> {
         if self.mode == CacheMode::Disabled {
             return Ok(PathBuf::new());
@@ -193,15 +148,13 @@ impl CacheManager {
         fs::create_dir_all(&dir)?;
         let path = self.entry_path(op_index, op_name);
         let tmp = path.with_extension("tmp");
-        let copy_all = || -> Result<()> {
-            let mut out = std::io::BufWriter::new(fs::File::create(&tmp)?);
-            for i in 0..spool.shard_count() {
-                spool.copy_shard_frame_into(i, &mut out)?;
-            }
-            std::io::Write::flush(&mut out)?;
+        let write = || -> Result<()> {
+            let mut out = BufWriter::new(fs::File::create(&tmp)?);
+            fill(&mut out)?;
+            out.flush()?;
             Ok(())
         };
-        if let Err(e) = copy_all() {
+        if let Err(e) = write() {
             let _ = fs::remove_file(&tmp);
             return Err(e);
         }
@@ -222,79 +175,57 @@ impl CacheManager {
         if !path.exists() {
             return Ok(None);
         }
-        Ok(Some(read_entry(&fs::read(&path)?)?))
+        read_entry(&path).map(Some)
+    }
+
+    /// The cache entry for the longest prefix of `ops` (matched by
+    /// `(index, name)`), if any — enabling resume-after-change (§4.1.1).
+    fn latest_entry(&self, ops: &[(usize, String)]) -> Result<Option<(usize, PathBuf)>> {
+        let dir = self.dir();
+        if !dir.exists() {
+            return Ok(None);
+        }
+        let entries = list_entries(&dir)?;
+        Ok(ops.iter().rev().find_map(|(idx, name)| {
+            entries
+                .iter()
+                .find(|e| e.op_index == *idx && e.op_name == safe_name(name))
+                .map(|e| (*idx, e.path.clone()))
+        }))
     }
 
     /// The most recent cached state whose `(index, name)` matches a prefix
     /// of `ops`: returns `(op_index, dataset)` for the longest usable
-    /// entry, enabling resume-after-change (§4.1.1).
+    /// entry, decoded into memory.
     pub fn latest_match(&self, ops: &[(usize, String)]) -> Result<Option<(usize, Dataset)>> {
-        let dir = self.dir();
-        if !dir.exists() {
-            return Ok(None);
+        match self.latest_entry(ops)? {
+            Some((idx, path)) => Ok(Some((idx, read_entry(&path)?))),
+            None => Ok(None),
         }
-        let entries = list_entries(&dir)?;
-        for (idx, name) in ops.iter().rev() {
-            if let Some(e) = entries
-                .iter()
-                .find(|e| e.op_index == *idx && e.op_name == safe_name(name))
-            {
-                let ds = read_entry(&fs::read(&e.path)?)?;
-                return Ok(Some((*idx, ds)));
-            }
-        }
-        Ok(None)
     }
 
-    /// Like [`CacheManager::latest_match`], but an entry saved as a
-    /// multi-frame shard stream (a spilled stage) is rehydrated frame by
-    /// frame into a [`ShardSpool`] under `spool_dir` instead of being
-    /// materialized — at most one shard is in memory at a time, preserving
-    /// the out-of-core memory ceiling across resume. Monolithic entries
-    /// still come back as in-memory datasets; `spool_dir` is only created
-    /// when a streamed entry is actually found.
+    /// Like [`CacheManager::latest_match`], but the entry is rehydrated
+    /// frame by frame into a [`ShardSpool`] under `spool_dir` instead of
+    /// being decoded: each frame is checksum-verified and copied into its
+    /// slot, so at most one frame is in memory at a time and resume keeps
+    /// the out-of-core memory ceiling. `spool_dir` is only created when an
+    /// entry is actually found.
     pub fn latest_match_streamed(
         &self,
         ops: &[(usize, String)],
         spool_dir: PathBuf,
-    ) -> Result<Option<(usize, CachedStage)>> {
-        let dir = self.dir();
-        if !dir.exists() {
+    ) -> Result<Option<(usize, ShardSpool)>> {
+        let Some((idx, path)) = self.latest_entry(ops)? else {
             return Ok(None);
+        };
+        let mut reader = BufReader::new(fs::File::open(&path)?);
+        let spool = ShardSpool::create(spool_dir, 0, self.codec)?;
+        let mut i = 0;
+        while let Some(slab) = read_frame_slab(&mut reader)? {
+            spool.write_frame_bytes(i, slab.frame(), slab.sample_count())?;
+            i += 1;
         }
-        let entries = list_entries(&dir)?;
-        for (idx, name) in ops.iter().rev() {
-            let Some(e) = entries
-                .iter()
-                .find(|e| e.op_index == *idx && e.op_name == safe_name(name))
-            else {
-                continue;
-            };
-            use std::io::{Read, Seek, SeekFrom};
-            let mut file = fs::File::open(&e.path)?;
-            let mut magic = [0u8; 4];
-            let n = file.read(&mut magic)?;
-            // Streamed entries may mix row (`DJSF`) and columnar (`DJSC`)
-            // frames — e.g. saved by a columnar run; anything else is a
-            // legacy whole-dataset entry.
-            if n < 4 || (&magic != SHARD_FRAME_MAGIC && &magic != COLUMNAR_FRAME_MAGIC) {
-                let ds = read_entry(&fs::read(&e.path)?)?;
-                return Ok(Some((*idx, CachedStage::Mem(ds))));
-            }
-            file.seek(SeekFrom::Start(0))?;
-            let frames = count_frames(&mut file)?;
-            file.seek(SeekFrom::Start(0))?;
-            let spool = ShardSpool::create(spool_dir, frames as usize, self.codec)?;
-            let mut reader = ShardStreamReader::new(std::io::BufReader::new(file));
-            for i in 0..frames as usize {
-                let shard = reader.next_shard()?.ok_or_else(|| {
-                    dj_core::DjError::Storage(format!("cache entry lost frame {i} of {frames}"))
-                })?;
-                spool.write_shard(i, &shard)?;
-            }
-            return Ok(Some((*idx, CachedStage::Spooled(spool))));
-        }
-        Ok(None)
+        Ok(Some((idx, spool)))
     }
 
     /// Total bytes used by this recipe's cache entries.
@@ -329,22 +260,9 @@ impl CacheManager {
     }
 }
 
-/// A resumed stage as [`CacheManager::latest_match_streamed`] hands it
-/// back: in memory for monolithic entries, rehydrated into a disk spool
-/// for streamed (spilled) ones.
-pub enum CachedStage {
-    Mem(Dataset),
-    Spooled(ShardSpool),
-}
-
-/// Decode a cache entry: either a single compressed dataset frame (the
-/// in-memory save path) or a multi-frame shard stream (the spilled path).
-fn read_entry(bytes: &[u8]) -> Result<Dataset> {
-    if bytes.starts_with(SHARD_FRAME_MAGIC) || bytes.starts_with(COLUMNAR_FRAME_MAGIC) {
-        read_shard_stream(bytes)
-    } else {
-        from_bytes(&decompress(bytes)?)
-    }
+/// Decode a whole cache entry into one dataset.
+fn read_entry(path: &Path) -> Result<Dataset> {
+    read_shard_stream(BufReader::new(fs::File::open(path)?))
 }
 
 struct Entry {
@@ -393,7 +311,10 @@ fn list_entries(dir: &Path) -> Result<Vec<Entry>> {
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
             continue;
         };
-        let Some(stem) = name.strip_suffix(".djc") else {
+        let Some(stem) = name
+            .strip_suffix(CACHE_ENTRY_EXT)
+            .and_then(|s| s.strip_suffix('.'))
+        else {
             continue;
         };
         let Some((idx, op_name)) = stem.split_once('-') else {
@@ -448,7 +369,7 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let cm = CacheManager::new(&dir, 0xABCD, CacheMode::Cache);
         let d = ds(10);
-        cm.save(0, "op_a", &d).unwrap();
+        cm.save_shards(0, "op_a", std::slice::from_ref(&d)).unwrap();
         let loaded = cm.load(0, "op_a").unwrap().unwrap();
         assert_eq!(loaded, d);
         assert!(cm.load(1, "op_b").unwrap().is_none());
@@ -460,13 +381,13 @@ mod tests {
         let dir = tmpdir("modes");
         let cache = CacheManager::new(&dir, 1, CacheMode::Cache);
         for i in 0..4 {
-            cache.save(i, "op", &ds(5)).unwrap();
+            cache.save_shards(i, "op", &[ds(5)]).unwrap();
         }
         assert_eq!(cache.entry_count().unwrap(), 4);
 
         let ckpt = CacheManager::new(&dir, 2, CacheMode::Checkpoint);
         for i in 0..4 {
-            ckpt.save(i, "op", &ds(5)).unwrap();
+            ckpt.save_shards(i, "op", &[ds(5)]).unwrap();
         }
         assert_eq!(ckpt.entry_count().unwrap(), 1);
         assert!(ckpt.load(3, "op").unwrap().is_some());
@@ -478,7 +399,7 @@ mod tests {
     fn disabled_mode_writes_nothing() {
         let dir = tmpdir("disabled");
         let cm = CacheManager::new(&dir, 3, CacheMode::Disabled);
-        cm.save(0, "op", &ds(5)).unwrap();
+        cm.save_shards(0, "op", &[ds(5)]).unwrap();
         assert_eq!(cm.entry_count().unwrap(), 0);
         remove_cache_root(&dir);
     }
@@ -487,9 +408,9 @@ mod tests {
     fn latest_match_resumes_from_prefix() {
         let dir = tmpdir("resume");
         let cm = CacheManager::new(&dir, 4, CacheMode::Cache);
-        cm.save(0, "clean", &ds(10)).unwrap();
-        cm.save(1, "filter", &ds(8)).unwrap();
-        cm.save(2, "dedup", &ds(6)).unwrap();
+        cm.save_shards(0, "clean", &[ds(10)]).unwrap();
+        cm.save_shards(1, "filter", &[ds(8)]).unwrap();
+        cm.save_shards(2, "dedup", &[ds(6)]).unwrap();
         // Recipe changed after index 1: only the prefix matches.
         let ops = vec![
             (0usize, "clean".to_string()),
@@ -507,7 +428,7 @@ mod tests {
         let dir = tmpdir("fingerprints");
         let a = CacheManager::new(&dir, 10, CacheMode::Cache);
         let b = CacheManager::new(&dir, 11, CacheMode::Cache);
-        a.save(0, "op", &ds(3)).unwrap();
+        a.save_shards(0, "op", &[ds(3)]).unwrap();
         assert!(b.load(0, "op").unwrap().is_none());
         remove_cache_root(&dir);
     }
@@ -517,7 +438,7 @@ mod tests {
         let dir = tmpdir("usage");
         let cm = CacheManager::new(&dir, 12, CacheMode::Cache);
         assert_eq!(cm.disk_usage().unwrap(), 0);
-        cm.save(0, "op", &ds(50)).unwrap();
+        cm.save_shards(0, "op", &[ds(50)]).unwrap();
         assert!(cm.disk_usage().unwrap() > 0);
         cm.clear().unwrap();
         assert_eq!(cm.entry_count().unwrap(), 0);
@@ -539,7 +460,7 @@ mod tests {
 
         let dir = tmpdir("longnames");
         let cm = CacheManager::new(&dir, 21, CacheMode::Cache);
-        cm.save(0, &long_a, &ds(4)).unwrap();
+        cm.save_shards(0, &long_a, &[ds(4)]).unwrap();
         assert_eq!(cm.load(0, &long_a).unwrap().unwrap(), ds(4));
         // latest_match resolves through the same encoding.
         let (idx, d) = cm
@@ -554,13 +475,12 @@ mod tests {
     }
 
     #[test]
-    fn streamed_entries_load_like_monolithic_ones() {
+    fn multi_shard_entries_load_and_rehydrate_by_frame_copy() {
         let dir = tmpdir("streamed");
         let cm = CacheManager::new(&dir, 31, CacheMode::Cache);
         let full = ds(10);
         let shards: Vec<Dataset> = full.clone().into_shards(3);
-        cm.save_streamed(0, "stage_a", shards.into_iter().map(Ok))
-            .unwrap();
+        cm.save_shards(0, "stage_a", &shards).unwrap();
         assert_eq!(cm.load(0, "stage_a").unwrap().unwrap(), full);
         let (idx, back) = cm
             .latest_match(&[(0usize, "stage_a".to_string())])
@@ -568,13 +488,37 @@ mod tests {
             .unwrap();
         assert_eq!(idx, 0);
         assert_eq!(back, full);
-        // A failing shard iterator aborts the save and leaves no entry.
-        let err_iter = vec![
-            Ok(ds(2)),
-            Err(dj_core::DjError::Storage("spill read failed".into())),
-        ];
-        assert!(cm.save_streamed(1, "stage_b", err_iter).is_err());
-        assert!(cm.load(1, "stage_b").unwrap().is_none());
+        // Rehydration keeps the shard boundaries, one slot per frame.
+        let (idx, spool) = cm
+            .latest_match_streamed(&[(0usize, "stage_a".to_string())], dir.join("spool"))
+            .unwrap()
+            .unwrap();
+        assert_eq!(idx, 0);
+        assert_eq!(spool.shard_count(), 3);
+        for (i, shard) in shards.iter().enumerate() {
+            assert_eq!(&spool.read_shard(i).unwrap(), shard);
+        }
+        remove_cache_root(&dir);
+    }
+
+    #[test]
+    fn corrupt_entries_fail_loudly_and_old_versions_stay_cold() {
+        let dir = tmpdir("corrupt");
+        let cm = CacheManager::new(&dir, 32, CacheMode::Cache);
+        let path = cm.save_shards(0, "op", &[ds(6)]).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x10;
+        fs::write(&path, &bytes).unwrap();
+        let ops = [(0usize, "op".to_string())];
+        assert!(cm.load(0, "op").is_err());
+        assert!(cm.latest_match(&ops).is_err());
+        assert!(cm.latest_match_streamed(&ops, dir.join("spool")).is_err());
+        // An entry under the previous format's name is invisible.
+        fs::remove_file(&path).unwrap();
+        fs::write(path.with_extension("djc"), b"whatever the old format held").unwrap();
+        assert_eq!(cm.entry_count().unwrap(), 0);
+        assert!(cm.latest_match(&ops).unwrap().is_none());
         remove_cache_root(&dir);
     }
 
@@ -585,8 +529,10 @@ mod tests {
         let packed = CacheManager::new(&dir, 14, CacheMode::Cache).with_codec(Codec::Djz);
         // Repetitive dataset → compressible.
         let d = Dataset::from_texts((0..100).map(|_| "repeat repeat repeat repeat".to_string()));
-        raw.save(0, "op", &d).unwrap();
-        packed.save(0, "op", &d).unwrap();
+        raw.save_shards(0, "op", std::slice::from_ref(&d)).unwrap();
+        packed
+            .save_shards(0, "op", std::slice::from_ref(&d))
+            .unwrap();
         assert!(packed.disk_usage().unwrap() < raw.disk_usage().unwrap() / 2);
         // And still loads correctly.
         assert_eq!(packed.load(0, "op").unwrap().unwrap(), d);

@@ -64,8 +64,26 @@ pub fn decompress(frame: &[u8]) -> Result<Vec<u8>> {
         return Err(DjError::Storage("bad compression frame header".into()));
     }
     let codec = Codec::from_id(frame[3])?;
-    let expected = crate::serialize::le_u64(&frame[4..12]) as usize;
+    let expected = crate::serialize::le_u64(&frame[4..12]);
     let body = &frame[12..];
+    // The header's size claim is untrusted: no body expands faster than
+    // its codec's densest token, so anything larger is corruption —
+    // rejected before the claim sizes an allocation.
+    let body_len = body.len() as u64;
+    let max_out = match codec {
+        Codec::None => body_len,
+        // A 2-byte repeat token yields up to 129 bytes.
+        Codec::Rle => body_len.saturating_mul(129) / 2,
+        // A 3-byte match token yields up to MAX_MATCH bytes.
+        Codec::Djz => body_len.saturating_mul(MAX_MATCH as u64) / 3,
+    };
+    if expected > max_out {
+        return Err(DjError::Storage(format!(
+            "compression frame claims {expected} bytes from a {}-byte body",
+            body.len()
+        )));
+    }
+    let expected = expected as usize;
     let out = match codec {
         Codec::None => body.to_vec(),
         Codec::Rle => rle_decompress(body, expected)?,
@@ -308,6 +326,27 @@ mod tests {
         let mut frame2 = compress(b"abc", Codec::None);
         frame2[4] = 99;
         assert!(decompress(&frame2).is_err());
+    }
+
+    #[test]
+    fn size_claims_beyond_the_codec_expansion_bound_are_rejected() {
+        // A 17-byte RLE frame (12-byte header + 5-byte body) claiming 1 TiB.
+        let mut frame = compress(&[7u8; 300], Codec::Rle);
+        frame.truncate(17);
+        frame[4..12].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert_eq!(frame.len(), 17);
+        let err = decompress(&frame).unwrap_err();
+        assert!(matches!(err, DjError::Storage(_)), "{err}");
+        assert!(err.to_string().contains("claims"), "{err}");
+        for codec in [Codec::None, Codec::Djz] {
+            let mut frame = compress(b"hello hello hello hello", codec);
+            frame[4..12].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert!(decompress(&frame).is_err(), "{codec:?}");
+        }
+        // The bound is tight enough for real data: maximal runs and
+        // maximal matches still decode.
+        roundtrip(&[0u8; 1 << 16], Codec::Rle);
+        roundtrip(&[0u8; 1 << 16], Codec::Djz);
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Columnar shard frames (`DJSC`): decode only the bytes an OP touches.
+//! Columnar shard frames (`DJSC`): the one shard payload the system
+//! persists — spool slots, cache entries and `frames` egress parts.
 //!
-//! A row frame (`DJSF`) serializes whole samples, so a stage whose OPs read
-//! one field still decodes (and re-encodes) every metadata column. A
-//! columnar frame stores each *top-level column* of the samples' root maps
-//! as its own contiguous, individually compressed and checksummed region,
-//! addressable from an offset table:
+//! A frame stores each *top-level column* of the samples' root maps as its
+//! own contiguous, individually compressed and checksummed region,
+//! addressable from an offset table, so a stage whose OPs read one field
+//! decodes that column and nothing else:
 //!
 //! ```text
 //! ┌──────────┬──────────────┬──────────────┬─────────────────────┐
@@ -30,10 +30,9 @@
 //! ```
 //!
 //! The presence byte distinguishes a *missing* column from an explicit
-//! `null`, so columnar↔row round-trips are value-identical. The envelope
-//! shares the row frame's header shape (magic, length, FNV checksum), so
-//! spool slots and multi-frame cache streams can mix both formats — readers
-//! sniff the 4-byte magic.
+//! `null`, so round-trips are value-identical. The length prefix makes
+//! frames skippable in multi-frame streams, and the envelope checksum
+//! detects bit rot and torn writes before any region is touched.
 //!
 //! Two access patterns motivate the format:
 //!
@@ -61,47 +60,96 @@ use crate::serialize::{
     le_u64, read_value_slice, skip_value, take_str, take_u32, take_u64, take_u8, walk_path,
     write_value,
 };
-use crate::shard_stream::{HEADER_LEN, MAX_FRAME_PAYLOAD};
 
-/// Magic prefix of columnar shard frames.
+/// Magic prefix of every shard frame.
 pub const COLUMNAR_FRAME_MAGIC: &[u8; 4] = b"DJSC";
 
 const COLUMNAR_VERSION: u8 = 1;
 
-/// Encode one shard as a columnar frame.
+/// Envelope header length: magic, payload length, payload checksum.
+pub(crate) const HEADER_LEN: usize = 4 + 8 + 8;
+
+/// Refuse frames claiming more than this (a corrupt length prefix must not
+/// turn into a huge read).
+pub(crate) const MAX_FRAME_PAYLOAD: u64 = 1 << 40;
+
+/// Check an envelope header's magic and length claim; returns the
+/// claimed payload length.
+pub(crate) fn frame_payload_len(header: &[u8]) -> Result<u64> {
+    if header.len() < HEADER_LEN {
+        return Err(DjError::Storage(format!(
+            "truncated shard frame header ({} of {HEADER_LEN} bytes)",
+            header.len()
+        )));
+    }
+    if &header[..4] != COLUMNAR_FRAME_MAGIC {
+        return Err(DjError::Storage("bad shard frame magic".into()));
+    }
+    let len = le_u64(&header[4..12]);
+    if len > MAX_FRAME_PAYLOAD {
+        return Err(DjError::Storage(format!(
+            "implausible shard frame length {len}"
+        )));
+    }
+    Ok(len)
+}
+
+/// Encode one shard as a frame.
 pub fn encode_columnar_frame(shard: &Dataset, codec: Codec) -> Vec<u8> {
     // Column set = union of top-level keys across all samples, sorted.
-    let mut names: BTreeSet<&str> = BTreeSet::new();
+    let names = column_names(shard);
+    let regions: Vec<(&str, Vec<u8>, u64)> = names
+        .iter()
+        .map(|name| {
+            let (region, raw_len) = encode_column(shard, name, codec);
+            (*name, region, raw_len)
+        })
+        .collect();
+    assemble(
+        shard.len(),
+        regions.iter().map(|(n, r, raw)| (*n, r.as_slice(), *raw)),
+    )
+}
+
+/// Union of the samples' top-level keys, sorted.
+fn column_names(shard: &Dataset) -> BTreeSet<&str> {
+    let mut names = BTreeSet::new();
     for s in shard.iter() {
         if let Value::Map(m) = s.value() {
             names.extend(m.keys().map(String::as_str));
         }
     }
+    names
+}
 
-    // Build each column's (compressed) region.
-    let mut regions: Vec<(&str, Vec<u8>, u64)> = Vec::with_capacity(names.len());
-    for name in &names {
-        let mut body = BytesMut::new();
-        for s in shard.iter() {
-            match s.value() {
-                Value::Map(m) => match m.get(*name) {
-                    Some(v) => {
-                        body.put_u8(1);
-                        write_value(&mut body, v);
-                    }
-                    None => body.put_u8(0),
-                },
-                _ => body.put_u8(0),
-            }
+/// One column's compressed region plus its raw (decompressed) length.
+fn encode_column(shard: &Dataset, name: &str, codec: Codec) -> (Vec<u8>, u64) {
+    let mut body = BytesMut::new();
+    for s in shard.iter() {
+        match s.value() {
+            Value::Map(m) => match m.get(name) {
+                Some(v) => {
+                    body.put_u8(1);
+                    write_value(&mut body, v);
+                }
+                None => body.put_u8(0),
+            },
+            _ => body.put_u8(0),
         }
-        let raw_len = body.len() as u64;
-        regions.push((name, compress(&body, codec), raw_len));
     }
+    (compress(&body, codec), body.len() as u64)
+}
 
-    // Directory + concatenated regions form the payload.
+/// Build a sealed frame from `(name, compressed region, raw_len)` triples
+/// already in directory (name) order.
+fn assemble<'a>(
+    samples: usize,
+    regions: impl Iterator<Item = (&'a str, &'a [u8], u64)>,
+) -> Vec<u8> {
+    let regions: Vec<_> = regions.collect();
     let mut payload = BytesMut::new();
     payload.put_u8(COLUMNAR_VERSION);
-    payload.put_u64_le(shard.len() as u64);
+    payload.put_u64_le(samples as u64);
     payload.put_u32_le(regions.len() as u32);
     let mut offset = 0u64;
     for (name, region, raw_len) in &regions {
@@ -125,85 +173,64 @@ pub fn encode_columnar_frame(shard: &Dataset, codec: Codec) -> Vec<u8> {
     out
 }
 
-/// Decode a columnar frame *payload* (envelope already stripped and
-/// checksum-verified) into a dataset — the multi-frame stream reader's
-/// entry point.
-pub(crate) fn decode_columnar_payload(payload: &[u8]) -> Result<Dataset> {
-    ColumnarSlab::from_payload(payload.to_vec())?.decode()
-}
-
 /// One column's directory entry.
 #[derive(Debug, Clone)]
 struct ColumnEntry {
     name: String,
-    /// Absolute byte range of the compressed region within the payload.
+    /// Absolute byte range of the compressed region within the frame.
     start: usize,
     len: usize,
     raw_len: u64,
     checksum: u64,
 }
 
-/// A loaded-but-undecoded columnar frame.
+/// A loaded-but-undecoded frame.
 ///
-/// The payload stays as one owned byte buffer; every accessor decompresses
-/// and decodes only the regions it is asked for.
+/// The whole frame stays as one owned byte buffer; every accessor
+/// decompresses and decodes only the regions it is asked for.
 #[derive(Debug)]
 pub struct ColumnarSlab {
-    payload: Vec<u8>,
+    frame: Vec<u8>,
     samples: usize,
     columns: Vec<ColumnEntry>,
 }
 
 impl ColumnarSlab {
-    /// Parse one columnar frame held fully in memory (envelope + payload).
+    /// Parse one frame held fully in memory (envelope + payload).
     pub fn from_frame_bytes(frame: &[u8]) -> Result<ColumnarSlab> {
-        if frame.len() < HEADER_LEN {
-            return Err(DjError::Storage(format!(
-                "truncated columnar frame header ({} of {HEADER_LEN} bytes)",
-                frame.len()
-            )));
-        }
-        if &frame[..4] != COLUMNAR_FRAME_MAGIC {
-            return Err(DjError::Storage("bad columnar frame magic".into()));
-        }
-        let len = le_u64(&frame[4..12]);
-        if len > MAX_FRAME_PAYLOAD {
-            return Err(DjError::Storage(format!(
-                "implausible columnar frame length {len}"
-            )));
-        }
-        let checksum = le_u64(&frame[12..20]);
-        let body = &frame[HEADER_LEN..];
-        if (body.len() as u64) < len {
-            return Err(DjError::Storage(format!(
-                "truncated columnar frame payload ({} of {len} bytes)",
-                body.len()
-            )));
-        }
-        if (body.len() as u64) > len {
-            return Err(DjError::Storage(
-                "trailing bytes after columnar frame".into(),
-            ));
-        }
-        if fnv1a(body) != checksum {
-            return Err(DjError::Storage(
-                "columnar frame checksum mismatch (corrupted spill data)".into(),
-            ));
-        }
-        ColumnarSlab::from_payload(body.to_vec())
+        ColumnarSlab::from_frame(frame.to_vec())
     }
 
     /// Load a single-frame file (a spool slot) into a slab.
     pub fn load(path: impl AsRef<Path>) -> Result<ColumnarSlab> {
         let path = path.as_ref();
         let mut bytes = fs::read(path)
-            .map_err(|e| DjError::Storage(format!("columnar frame missing at {path:?}: {e}")))?;
+            .map_err(|e| DjError::Storage(format!("shard frame missing at {path:?}: {e}")))?;
         dj_core::faults::corrupt("store.frame.read", &mut bytes)?;
-        ColumnarSlab::from_frame_bytes(&bytes)
+        ColumnarSlab::from_frame(bytes)
     }
 
-    fn from_payload(payload: Vec<u8>) -> Result<ColumnarSlab> {
-        let mut cur: &[u8] = &payload;
+    /// Verify an owned frame's envelope (exactly one frame: trailing bytes
+    /// are rejected) and parse its column directory.
+    pub(crate) fn from_frame(frame: Vec<u8>) -> Result<ColumnarSlab> {
+        let len = frame_payload_len(&frame)?;
+        let checksum = le_u64(&frame[12..20]);
+        let body = &frame[HEADER_LEN..];
+        if (body.len() as u64) < len {
+            return Err(DjError::Storage(format!(
+                "truncated shard frame payload ({} of {len} bytes)",
+                body.len()
+            )));
+        }
+        if (body.len() as u64) > len {
+            return Err(DjError::Storage("trailing bytes after shard frame".into()));
+        }
+        if fnv1a(body) != checksum {
+            return Err(DjError::Storage(
+                "shard frame checksum mismatch (corrupted data)".into(),
+            ));
+        }
+        let mut cur: &[u8] = body;
         let version = take_u8(&mut cur)?;
         if version != COLUMNAR_VERSION {
             return Err(DjError::Storage(format!(
@@ -222,7 +249,7 @@ impl ColumnarSlab {
             raw_columns.push((name, offset, len, raw_len, checksum));
         }
         // Regions base = everything after the directory.
-        let regions_base = payload.len() - cur.len();
+        let regions_base = frame.len() - cur.len();
         let regions_len = cur.len() as u64;
         let mut columns = Vec::with_capacity(raw_columns.len());
         for (name, offset, len, raw_len, checksum) in raw_columns {
@@ -243,10 +270,16 @@ impl ColumnarSlab {
             });
         }
         Ok(ColumnarSlab {
-            payload,
+            frame,
             samples,
             columns,
         })
+    }
+
+    /// The verified frame bytes, envelope included — what a frame copy
+    /// (cache rehydrate) writes back out.
+    pub fn frame(&self) -> &[u8] {
+        &self.frame
     }
 
     /// Sample count, from the payload header.
@@ -256,7 +289,7 @@ impl ColumnarSlab {
 
     /// Payload size in bytes (the slab's memory footprint).
     pub fn payload_len(&self) -> usize {
-        self.payload.len()
+        self.frame.len() - HEADER_LEN
     }
 
     /// Column names in directory (sorted) order.
@@ -279,7 +312,7 @@ impl ColumnarSlab {
     }
 
     fn region_bytes(&self, c: &ColumnEntry) -> Result<&[u8]> {
-        let region = &self.payload[c.start..c.start + c.len];
+        let region = &self.frame[c.start..c.start + c.len];
         if fnv1a(region) != c.checksum {
             return Err(DjError::Storage(format!(
                 "columnar region checksum mismatch for column `{}`",
@@ -408,12 +441,7 @@ impl ColumnarSlab {
         };
 
         // Columns re-encoded from the processed samples.
-        let mut encoded_names: BTreeSet<&str> = BTreeSet::new();
-        for s in processed.iter() {
-            if let Value::Map(m) = s.value() {
-                encoded_names.extend(m.keys().map(String::as_str));
-            }
-        }
+        let encoded_names = column_names(processed);
         for c in &passthrough {
             if encoded_names.contains(c.name.as_str()) {
                 return Err(DjError::Storage(format!(
@@ -423,23 +451,15 @@ impl ColumnarSlab {
             }
         }
 
-        // (name, compressed region or verbatim range, raw_len, passthrough?)
-        enum Region<'a> {
-            Verbatim(&'a [u8]),
-            Fresh(Vec<u8>),
-        }
-        let mut out_regions: Vec<(&str, Region<'_>, u64, bool)> = Vec::new();
+        // (name, compressed region, raw_len): passthrough regions borrow
+        // the input frame's bytes when they cross verbatim.
+        let mut out_regions: Vec<(&str, Cow<'_, [u8]>, u64)> = Vec::new();
         let mut bytes_passthrough = 0u64;
 
         for c in &passthrough {
             if kept == self.samples {
                 // Nothing dropped: the compressed region crosses verbatim.
-                out_regions.push((
-                    &c.name,
-                    Region::Verbatim(self.region_bytes(c)?),
-                    c.raw_len,
-                    true,
-                ));
+                out_regions.push((&c.name, Cow::Borrowed(self.region_bytes(c)?), c.raw_len));
                 bytes_passthrough += c.raw_len;
             } else {
                 // Entry-level splice: walk presence+value byte ranges and
@@ -471,68 +491,22 @@ impl ColumnarSlab {
                 }
                 let raw_len = body.len() as u64;
                 bytes_passthrough += raw_len;
-                out_regions.push((
-                    &c.name,
-                    Region::Fresh(compress(&body, codec)),
-                    raw_len,
-                    true,
-                ));
+                out_regions.push((&c.name, Cow::Owned(compress(&body, codec)), raw_len));
             }
         }
 
-        for name in &encoded_names {
-            let mut body = BytesMut::new();
-            for s in processed.iter() {
-                match s.value() {
-                    Value::Map(m) => match m.get(*name) {
-                        Some(v) => {
-                            body.put_u8(1);
-                            write_value(&mut body, v);
-                        }
-                        None => body.put_u8(0),
-                    },
-                    _ => body.put_u8(0),
-                }
-            }
-            let raw_len = body.len() as u64;
-            out_regions.push((name, Region::Fresh(compress(&body, codec)), raw_len, false));
+        for name in encoded_names {
+            let (region, raw_len) = encode_column(processed, name, codec);
+            out_regions.push((name, Cow::Owned(region), raw_len));
         }
 
         // Directory order is sorted by name.
         out_regions.sort_by(|a, b| a.0.cmp(b.0));
-
-        let mut payload = BytesMut::new();
-        payload.put_u8(COLUMNAR_VERSION);
-        payload.put_u64_le(kept as u64);
-        payload.put_u32_le(out_regions.len() as u32);
-        let mut offset = 0u64;
-        for (name, region, raw_len, _) in &out_regions {
-            let bytes: &[u8] = match region {
-                Region::Verbatim(b) => b,
-                Region::Fresh(v) => v,
-            };
-            payload.put_u32_le(name.len() as u32);
-            payload.put_slice(name.as_bytes());
-            payload.put_u64_le(offset);
-            payload.put_u64_le(bytes.len() as u64);
-            payload.put_u64_le(*raw_len);
-            payload.put_u64_le(fnv1a(bytes));
-            offset += bytes.len() as u64;
-        }
-        for (_, region, _, _) in &out_regions {
-            let bytes: &[u8] = match region {
-                Region::Verbatim(b) => b,
-                Region::Fresh(v) => v,
-            };
-            payload.put_slice(bytes);
-        }
-
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(COLUMNAR_FRAME_MAGIC);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        Ok((out, bytes_passthrough))
+        let frame = assemble(
+            kept,
+            out_regions.iter().map(|(n, r, raw)| (*n, r.as_ref(), *raw)),
+        );
+        Ok((frame, bytes_passthrough))
     }
 
     /// Apply a keep mask to *every* column by entry splice — the dedup

@@ -2,18 +2,18 @@
 //!
 //! * [`codec`] — from-scratch cache-file compression (RLE and the LZ77-family
 //!   "djz" codec standing in for zstd/LZ4);
-//! * [`serialize`] — compact binary dataset format + JSONL import/export;
+//! * [`serialize`] — the tagged binary value encoding + JSONL import/export;
 //! * [`cache`] — per-OP cache & checkpoint management with resume-from-
 //!   longest-prefix, the backbone of the feedback-loop acceleration;
 //! * [`space`] — the Appendix A.2 space-usage model and the automatic
 //!   cache/checkpoint deployment policy;
-//! * [`shard_stream`] — length-prefixed, checksummed shard frames and the
-//!   disk-backed [`ShardSpool`], the storage substrate of the out-of-core
+//! * [`columnar`] — the `DJSC` shard frame, the one shard payload on disk:
+//!   per-column compressed, checksummed regions behind an offset table, so
+//!   projection-aware stages decode only the columns their OPs' field
+//!   footprints name and splice the rest through byte-for-byte;
+//! * [`shard_stream`] — frame streams (cache entries) and the disk-backed
+//!   [`ShardSpool`], the storage substrate of the out-of-core
 //!   (spill-to-disk) execution mode;
-//! * [`columnar`] — columnar `DJSC` shard frames: per-column compressed,
-//!   checksummed regions behind an offset table, so projection-aware
-//!   stages decode only the columns their OPs' field footprints name and
-//!   splice the rest through byte-for-byte;
 //! * [`sidecar`] — the checksummed `DJCS` planner-stats sidecar: EWMA
 //!   per-op cost/selectivity aggregates persisted under the cache root so
 //!   the adaptive planner (`dj-exec`) learns across runs.
@@ -31,23 +31,21 @@ pub mod shard_stream;
 pub mod sidecar;
 pub mod space;
 
-pub use cache::{remove_cache_root, CacheManager, CacheMode, CachedStage};
+pub use cache::{remove_cache_root, CacheManager, CacheMode, CACHE_ENTRY_EXT};
 pub use codec::{compress, decompress, Codec};
+// One encoder behind both names: every shard frame is a `DJSC` frame.
 pub use columnar::{
-    encode_columnar_frame, split_column_path, ColumnRegion, ColumnarSlab, COLUMNAR_FRAME_MAGIC,
+    encode_columnar_frame, encode_columnar_frame as encode_shard_frame, split_column_path,
+    ColumnRegion, ColumnarSlab, COLUMNAR_FRAME_MAGIC,
 };
 pub use serialize::{
-    from_bytes, from_jsonl, sample_count, texts_at, to_bytes, to_jsonl, values_from_bytes,
-    values_to_bytes, write_jsonl_into,
+    from_jsonl, to_bytes, to_jsonl, values_from_bytes, values_to_bytes, write_jsonl_into,
+};
+pub use shard_stream::{
+    read_shard_frame, read_shard_stream, write_shard_frame, ShardSpool, FINGERPRINT_MAGIC,
 };
 pub use sidecar::{
     OpAggregate, StatsSidecar, STATS_SIDECAR_FILE, STATS_SIDECAR_MAGIC, STATS_SIDECAR_VERSION,
-};
-
-pub use shard_stream::{
-    count_frames, encode_shard_frame, read_shard_frame, read_shard_stream, write_shard_frame,
-    FrameSlab, ShardSpool, ShardStreamReader, ShardStreamWriter, FINGERPRINT_MAGIC,
-    SHARD_FRAME_MAGIC,
 };
 pub use space::{
     cache_mode_bytes, checkpoint_mode_peak_bytes, plan_storage, PipelineShape, StoragePlan,

@@ -1,16 +1,18 @@
-//! Dataset (de)serialization: a compact binary format for cache files and
-//! JSONL for interchange (the exporter/importer the paper's pipelines end
-//! with).
+//! Value (de)serialization: the tagged binary value encoding every frame
+//! column and sidecar is built from, plus JSONL for interchange (the
+//! exporter/importer the paper's pipelines end with).
 
 use std::borrow::Cow;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 use dj_core::{parse_json, Dataset, DjError, Result, Sample, Value};
 
 const FORMAT_VERSION: u8 = 1;
 
-/// Serialize a dataset to the binary cache format.
+/// The canonical byte image of a dataset (version byte, sample count,
+/// tagged values in order): byte-identity comparisons and codec probes use
+/// it. Nothing persists it — shards are stored as `DJSC` frames.
 pub fn to_bytes(dataset: &Dataset) -> Vec<u8> {
     let mut buf = BytesMut::with_capacity(dataset.approx_bytes() / 2 + 64);
     buf.put_u8(FORMAT_VERSION);
@@ -19,30 +21,6 @@ pub fn to_bytes(dataset: &Dataset) -> Vec<u8> {
         write_value(&mut buf, s.value());
     }
     buf.to_vec()
-}
-
-/// Deserialize a dataset from the binary cache format.
-pub fn from_bytes(data: &[u8]) -> Result<Dataset> {
-    let mut buf = Bytes::copy_from_slice(data);
-    if buf.remaining() < 9 {
-        return Err(DjError::Storage("dataset frame too short".into()));
-    }
-    let version = buf.get_u8();
-    if version != FORMAT_VERSION {
-        return Err(DjError::Storage(format!(
-            "unsupported dataset format version {version}"
-        )));
-    }
-    let n = buf.get_u64_le() as usize;
-    let mut samples = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let v = read_value(&mut buf)?;
-        samples.push(Sample::from_value(v)?);
-    }
-    if buf.has_remaining() {
-        return Err(DjError::Storage("trailing bytes after dataset".into()));
-    }
-    Ok(Dataset::from_samples(samples))
 }
 
 const TAG_NULL: u8 = 0;
@@ -91,63 +69,6 @@ pub(crate) fn write_value(buf: &mut BytesMut, v: &Value) {
     }
 }
 
-fn read_value(buf: &mut Bytes) -> Result<Value> {
-    if !buf.has_remaining() {
-        return Err(DjError::Storage("truncated value".into()));
-    }
-    let tag = buf.get_u8();
-    Ok(match tag {
-        TAG_NULL => Value::Null,
-        TAG_BOOL_FALSE => Value::Bool(false),
-        TAG_BOOL_TRUE => Value::Bool(true),
-        TAG_INT => {
-            ensure(buf, 8)?;
-            Value::Int(buf.get_i64_le())
-        }
-        TAG_FLOAT => {
-            ensure(buf, 8)?;
-            Value::Float(buf.get_f64_le())
-        }
-        TAG_STR => Value::Str(read_string(buf)?),
-        TAG_LIST => {
-            ensure(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            let mut items = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                items.push(read_value(buf)?);
-            }
-            Value::List(items)
-        }
-        TAG_MAP => {
-            ensure(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            let mut m = std::collections::BTreeMap::new();
-            for _ in 0..n {
-                let k = read_string(buf)?;
-                let v = read_value(buf)?;
-                m.insert(k, v);
-            }
-            Value::Map(m)
-        }
-        other => return Err(DjError::Storage(format!("unknown value tag {other}"))),
-    })
-}
-
-fn read_string(buf: &mut Bytes) -> Result<String> {
-    ensure(buf, 4)?;
-    let n = buf.get_u32_le() as usize;
-    ensure(buf, n)?;
-    let bytes = buf.split_to(n);
-    String::from_utf8(bytes.to_vec()).map_err(|_| DjError::Storage("invalid utf8 in string".into()))
-}
-
-fn ensure(buf: &Bytes, n: usize) -> Result<()> {
-    if buf.remaining() < n {
-        return Err(DjError::Storage("truncated frame".into()));
-    }
-    Ok(())
-}
-
 /// Serialize a flat list of values (e.g. per-sample dedup fingerprints)
 /// in the same tagged binary format as datasets.
 pub fn values_to_bytes(values: &[Value]) -> Vec<u8> {
@@ -162,39 +83,25 @@ pub fn values_to_bytes(values: &[Value]) -> Vec<u8> {
 
 /// Deserialize a value list written by [`values_to_bytes`].
 pub fn values_from_bytes(data: &[u8]) -> Result<Vec<Value>> {
-    let mut buf = Bytes::copy_from_slice(data);
-    if buf.remaining() < 9 {
+    let mut cur = data;
+    if cur.len() < 9 {
         return Err(DjError::Storage("value frame too short".into()));
     }
-    let version = buf.get_u8();
+    let version = take_u8(&mut cur)?;
     if version != FORMAT_VERSION {
         return Err(DjError::Storage(format!(
             "unsupported value format version {version}"
         )));
     }
-    let n = buf.get_u64_le() as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+    let n = take_u64(&mut cur)? as usize;
+    let mut out = Vec::with_capacity(n.min(cur.len()));
     for _ in 0..n {
-        out.push(read_value(&mut buf)?);
+        out.push(read_value_slice(&mut cur)?);
     }
-    if buf.has_remaining() {
+    if !cur.is_empty() {
         return Err(DjError::Storage("trailing bytes after value list".into()));
     }
     Ok(out)
-}
-
-/// Sample count of a serialized dataset, read from the header alone.
-pub fn sample_count(data: &[u8]) -> Result<usize> {
-    if data.len() < 9 {
-        return Err(DjError::Storage("dataset frame too short".into()));
-    }
-    if data[0] != FORMAT_VERSION {
-        return Err(DjError::Storage(format!(
-            "unsupported dataset format version {}",
-            data[0]
-        )));
-    }
-    Ok(le_u64(&data[1..9]) as usize)
 }
 
 /// `u64` from the first 8 little-endian bytes of `b`, zero-padded if
@@ -214,34 +121,6 @@ pub(crate) fn le_u32(b: &[u8]) -> u32 {
     let n = b.len().min(4);
     buf[..n].copy_from_slice(&b[..n]);
     u32::from_le_bytes(buf)
-}
-
-/// Borrow the text at dotted path `field` out of every sample of a
-/// serialized dataset, without decoding samples into owned `Value`s.
-///
-/// This is the zero-copy read path: the returned `Cow`s point straight
-/// into `data` (the decompressed frame slab), so a hash pass over a
-/// spilled shard touches each text byte exactly once and allocates
-/// nothing per sample. Semantics mirror [`dj_core::Sample::text_at`]:
-/// a missing path or a non-string value yields `""`.
-pub fn texts_at<'a>(data: &'a [u8], field: &str) -> Result<Vec<Cow<'a, str>>> {
-    let mut cur = data;
-    let version = take_u8(&mut cur)?;
-    if version != FORMAT_VERSION {
-        return Err(DjError::Storage(format!(
-            "unsupported dataset format version {version}"
-        )));
-    }
-    let n = take_u64(&mut cur)? as usize;
-    let segments: Vec<&str> = field.split('.').collect();
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        out.push(walk_path(&mut cur, &segments)?);
-    }
-    if !cur.is_empty() {
-        return Err(DjError::Storage("trailing bytes after dataset".into()));
-    }
-    Ok(out)
 }
 
 /// Consume one serialized value, returning the borrowed string at
@@ -278,8 +157,7 @@ pub(crate) fn skip_value(cur: &mut &[u8]) -> Result<()> {
 }
 
 /// Decode one tagged value from a slice cursor (the owned-`Value` twin of
-/// [`skip_value`], used by the columnar codec to decode projected column
-/// regions without going through `Bytes`).
+/// [`skip_value`]).
 pub(crate) fn read_value_slice(cur: &mut &[u8]) -> Result<Value> {
     let tag = take_u8(cur)?;
     Ok(match tag {
@@ -421,14 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrip() {
-        let ds = rich_dataset();
-        let bytes = to_bytes(&ds);
-        let back = from_bytes(&bytes).unwrap();
-        assert_eq!(back, ds);
-    }
-
-    #[test]
     fn jsonl_roundtrip() {
         let ds = rich_dataset();
         let text = to_jsonl(&ds);
@@ -439,20 +309,7 @@ mod tests {
     #[test]
     fn empty_dataset_roundtrips() {
         let ds = Dataset::new();
-        assert_eq!(from_bytes(&to_bytes(&ds)).unwrap(), ds);
         assert_eq!(from_jsonl(&to_jsonl(&ds)).unwrap(), ds);
-    }
-
-    #[test]
-    fn corrupt_binary_rejected() {
-        assert!(from_bytes(&[]).is_err());
-        assert!(from_bytes(&[9, 0, 0, 0, 0, 0, 0, 0, 0]).is_err());
-        let mut bytes = to_bytes(&rich_dataset());
-        bytes.truncate(bytes.len() / 2);
-        assert!(from_bytes(&bytes).is_err());
-        let mut extra = to_bytes(&rich_dataset());
-        extra.push(0);
-        assert!(from_bytes(&extra).is_err());
     }
 
     #[test]
@@ -480,79 +337,14 @@ mod tests {
         let mut bytes = values_to_bytes(&vals);
         bytes.push(0);
         assert!(values_from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn texts_at_borrows_what_text_at_returns() {
-        let mut ds = rich_dataset();
-        // A nested text field and a sample where `text` is not a string.
-        let mut nested = Sample::new();
-        nested
-            .value_mut()
-            .set_path("content.body", Value::Str("nested body".into()))
-            .unwrap();
-        ds.push(nested);
-        let mut wrong_type = Sample::new();
-        wrong_type.set_meta("text", 42i64); // meta writes under "meta.text"
-        ds.push(wrong_type);
-        let bytes = to_bytes(&ds);
-        assert_eq!(sample_count(&bytes).unwrap(), ds.len());
-        for field in ["text", "content.body", "meta.text", "missing.path"] {
-            let texts = texts_at(&bytes, field).unwrap();
-            assert_eq!(texts.len(), ds.len());
-            for (cow, sample) in texts.iter().zip(ds.iter()) {
-                assert_eq!(cow.as_ref(), sample.text_at(field), "field {field}");
-                // Non-empty hits must borrow from the slab, not allocate.
-                if !cow.is_empty() {
-                    assert!(matches!(cow, Cow::Borrowed(_)));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn texts_at_rejects_corrupt_frames() {
-        let bytes = to_bytes(&rich_dataset());
-        assert!(texts_at(&[], "text").is_err());
-        assert!(texts_at(&bytes[..bytes.len() - 2], "text").is_err());
-        let mut extra = bytes.clone();
-        extra.push(0);
-        assert!(texts_at(&extra, "text").is_err());
-        let mut wrong = bytes;
-        wrong[0] = 9;
-        assert!(texts_at(&wrong, "text").is_err());
+        // A count claiming far more values than the bytes hold is a clean
+        // error, not an allocation sized by the claim.
+        let mut huge = values_to_bytes(&[]);
+        huge[1..9].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(values_from_bytes(&huge).is_err());
     }
 
     proptest! {
-        #[test]
-        fn prop_texts_at_matches_decode(texts in proptest::collection::vec(".{0,40}", 0..16)) {
-            let mut ds = Dataset::new();
-            for (i, t) in texts.iter().enumerate() {
-                let mut s = Sample::from_text(t.clone());
-                s.set_meta("idx", i as i64);
-                ds.push(s);
-            }
-            let bytes = to_bytes(&ds);
-            let borrowed = texts_at(&bytes, "text").unwrap();
-            let expected: Vec<&str> = ds.iter().map(|s| s.text()).collect();
-            prop_assert_eq!(
-                borrowed.iter().map(|c| c.as_ref()).collect::<Vec<_>>(),
-                expected
-            );
-        }
-
-        #[test]
-        fn prop_binary_roundtrip(texts in proptest::collection::vec(".*", 0..20)) {
-            let mut ds = Dataset::new();
-            for (i, t) in texts.iter().enumerate() {
-                let mut s = Sample::from_text(t.clone());
-                s.set_stat("idx", i as f64);
-                ds.push(s);
-            }
-            let back = from_bytes(&to_bytes(&ds)).unwrap();
-            prop_assert_eq!(back, ds);
-        }
-
         #[test]
         fn prop_jsonl_roundtrip_no_nan(texts in proptest::collection::vec("[a-zA-Z0-9 \\n\"\\\\]{0,60}", 0..10)) {
             let mut ds = Dataset::new();

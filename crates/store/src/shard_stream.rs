@@ -1,27 +1,14 @@
-//! Streaming shard frames: the on-disk format of the out-of-core executor.
+//! Shard frame streams and the disk spool: how `DJSC` frames (see
+//! [`crate::columnar`]) are laid out on disk.
 //!
-//! A *shard frame* wraps one serialized (and codec-compressed) shard so it
-//! can be appended to a byte stream and read back with integrity checking:
+//! Two layouts build on the frame:
 //!
-//! ```text
-//! ┌──────────┬──────────────┬──────────────┬─────────────────────┐
-//! │ "DJSF"   │ payload_len  │ checksum     │ payload             │
-//! │ 4 bytes  │ u64 LE       │ u64 LE (FNV) │ compress(to_bytes)  │
-//! └──────────┴──────────────┴──────────────┴─────────────────────┘
-//! ```
-//!
-//! The length prefix makes frames skippable, the checksum detects bit rot
-//! and torn writes, and the payload reuses the self-describing [`Codec`]
-//! frame so a stream can mix codecs. Truncated or corrupted frames are
-//! reported as clean [`DjError::Storage`] errors — never a panic, never
-//! silently short data.
-//!
-//! Two consumers build on the format:
-//!
-//! * [`ShardStreamWriter`]/[`ShardStreamReader`] — many frames appended to
-//!   one stream (used by the cache manager to persist spilled stages
-//!   without materializing them);
-//! * [`ShardSpool`] — a directory with one frame file per shard, the
+//! * a *frame stream* — frames appended back to back in one file
+//!   ([`write_shard_frame`] / [`read_shard_frame`]), the layout of cache
+//!   entries. The length prefix makes frames skippable; truncated or
+//!   corrupted frames are reported as clean [`DjError::Storage`] errors —
+//!   never a panic, never silently short data;
+//! * a [`ShardSpool`] — a directory with one frame file per shard, the
 //!   disk backing of the executor's spill path. Files are written to a
 //!   temporary name and atomically renamed, so a reader (or a restarted
 //!   run) never observes a partial frame. The spool removes its directory
@@ -35,288 +22,55 @@ use std::sync::Mutex;
 use dj_core::{Dataset, DjError, Result, ShardSink, ShardSource, Value};
 use dj_hash::fnv1a;
 
-use crate::codec::{compress, decompress, Codec};
-use crate::columnar::{
-    decode_columnar_payload, encode_columnar_frame, ColumnarSlab, COLUMNAR_FRAME_MAGIC,
-};
-use crate::serialize::{
-    from_bytes, le_u64, sample_count, texts_at, to_bytes, values_from_bytes, values_to_bytes,
-};
-
-/// Magic prefix of every shard frame (and of multi-frame stream files).
-pub const SHARD_FRAME_MAGIC: &[u8; 4] = b"DJSF";
+use crate::codec::Codec;
+use crate::columnar::{encode_columnar_frame, frame_payload_len, ColumnarSlab, HEADER_LEN};
+use crate::serialize::{le_u64, values_from_bytes, values_to_bytes};
 
 /// Magic prefix of fingerprint sidecar files (`shard-N.fpr`).
 pub const FINGERPRINT_MAGIC: &[u8; 4] = b"DJFP";
 
-pub(crate) const HEADER_LEN: usize = 4 + 8 + 8;
-
-/// Refuse to allocate for frames claiming more than this (corrupt length
-/// prefixes must not turn into huge allocations).
-pub(crate) const MAX_FRAME_PAYLOAD: u64 = 1 << 40;
-
-/// Encode one shard into a self-contained frame.
-pub fn encode_shard_frame(shard: &Dataset, codec: Codec) -> Vec<u8> {
-    let payload = compress(&to_bytes(shard), codec);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(SHARD_FRAME_MAGIC);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
-}
-
 /// Append one shard frame to a writer; returns the bytes written.
 pub fn write_shard_frame<W: Write>(w: &mut W, shard: &Dataset, codec: Codec) -> Result<u64> {
-    let frame = encode_shard_frame(shard, codec);
+    let frame = encode_columnar_frame(shard, codec);
     w.write_all(&frame)?;
     Ok(frame.len() as u64)
 }
 
-/// Read the next shard frame from a reader — row (`DJSF`) or columnar
-/// (`DJSC`), sniffed from the magic; both share the same envelope shape.
+/// Read the next shard frame from a stream and decode it.
 ///
 /// Returns `Ok(None)` on a clean end-of-stream (EOF exactly at a frame
 /// boundary). A frame cut off mid-header or mid-payload, a bad magic, an
 /// implausible length, or a checksum mismatch all yield a descriptive
 /// [`DjError::Storage`].
 pub fn read_shard_frame<R: Read>(r: &mut R) -> Result<Option<Dataset>> {
-    let mut header = [0u8; HEADER_LEN];
-    let got = read_up_to(r, &mut header)?;
-    if got == 0 {
+    match read_frame_slab(r)? {
+        Some(slab) => slab.decode().map(Some),
+        None => Ok(None),
+    }
+}
+
+/// Read and verify the next frame of a stream without decoding any
+/// column. The buffer grows with the bytes actually read, so a corrupt
+/// length prefix can never turn into a huge up-front allocation.
+pub(crate) fn read_frame_slab<R: Read>(r: &mut R) -> Result<Option<ColumnarSlab>> {
+    let mut frame = Vec::with_capacity(HEADER_LEN);
+    r.by_ref().take(HEADER_LEN as u64).read_to_end(&mut frame)?;
+    if frame.is_empty() {
         return Ok(None);
     }
-    if got < HEADER_LEN {
-        return Err(DjError::Storage(format!(
-            "truncated shard frame header ({got} of {HEADER_LEN} bytes)"
-        )));
-    }
-    let columnar = if &header[..4] == SHARD_FRAME_MAGIC {
-        false
-    } else if &header[..4] == COLUMNAR_FRAME_MAGIC {
-        true
-    } else {
-        return Err(DjError::Storage("bad shard frame magic".into()));
-    };
-    let len = le_u64(&header[4..12]);
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(DjError::Storage(format!(
-            "implausible shard frame length {len}"
-        )));
-    }
-    let checksum = le_u64(&header[12..20]);
-    let mut payload = vec![0u8; len as usize];
-    let got = read_up_to(r, &mut payload)?;
-    if got < payload.len() {
-        return Err(DjError::Storage(format!(
-            "truncated shard frame payload ({got} of {len} bytes)"
-        )));
-    }
-    if fnv1a(&payload) != checksum {
-        return Err(DjError::Storage(
-            "shard frame checksum mismatch (corrupted spill data)".into(),
-        ));
-    }
-    if columnar {
-        decode_columnar_payload(&payload).map(Some)
-    } else {
-        from_bytes(&decompress(&payload)?).map(Some)
-    }
-}
-
-/// Fill `buf` as far as the reader allows; returns bytes read (< `buf.len()`
-/// only at end-of-stream).
-fn read_up_to<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(filled)
-}
-
-/// Sequentially append shard frames to any writer.
-pub struct ShardStreamWriter<W: Write> {
-    inner: W,
-    codec: Codec,
-    frames: u64,
-    bytes: u64,
-}
-
-impl<W: Write> ShardStreamWriter<W> {
-    pub fn new(inner: W, codec: Codec) -> Self {
-        ShardStreamWriter {
-            inner,
-            codec,
-            frames: 0,
-            bytes: 0,
-        }
-    }
-
-    pub fn write(&mut self, shard: &Dataset) -> Result<()> {
-        self.bytes += write_shard_frame(&mut self.inner, shard, self.codec)?;
-        self.frames += 1;
-        Ok(())
-    }
-
-    pub fn frames(&self) -> u64 {
-        self.frames
-    }
-
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Flush and hand back the underlying writer.
-    pub fn finish(mut self) -> Result<W> {
-        self.inner.flush()?;
-        Ok(self.inner)
-    }
-}
-
-/// Sequentially read shard frames from any reader.
-pub struct ShardStreamReader<R: Read> {
-    inner: R,
-}
-
-impl<R: Read> ShardStreamReader<R> {
-    pub fn new(inner: R) -> Self {
-        ShardStreamReader { inner }
-    }
-
-    /// The next shard, or `None` at a clean end-of-stream.
-    pub fn next_shard(&mut self) -> Result<Option<Dataset>> {
-        read_shard_frame(&mut self.inner)
-    }
+    let len = frame_payload_len(&frame)?;
+    r.take(len).read_to_end(&mut frame)?;
+    ColumnarSlab::from_frame(frame).map(Some)
 }
 
 /// Read a whole multi-frame stream into one dataset (frames concatenate in
 /// order, mirroring `Dataset::from_shards`).
-pub fn read_shard_stream<R: Read>(r: R) -> Result<Dataset> {
-    let mut reader = ShardStreamReader::new(r);
+pub fn read_shard_stream<R: Read>(mut r: R) -> Result<Dataset> {
     let mut out = Dataset::new();
-    while let Some(shard) = reader.next_shard()? {
+    while let Some(shard) = read_shard_frame(&mut r)? {
         out.extend(shard);
     }
     Ok(out)
-}
-
-/// Count the frames in a multi-frame stream by walking headers and seeking
-/// over payloads — no payload is read or decoded. A final frame whose
-/// payload was cut off is still counted; the decode pass reports the
-/// truncation when it reaches it.
-pub fn count_frames<R: Read + std::io::Seek>(r: &mut R) -> Result<u64> {
-    let mut count = 0u64;
-    loop {
-        let mut header = [0u8; HEADER_LEN];
-        let got = read_up_to(r, &mut header)?;
-        if got == 0 {
-            return Ok(count);
-        }
-        if got < HEADER_LEN {
-            return Err(DjError::Storage(format!(
-                "truncated shard frame header ({got} of {HEADER_LEN} bytes)"
-            )));
-        }
-        if &header[..4] != SHARD_FRAME_MAGIC && &header[..4] != COLUMNAR_FRAME_MAGIC {
-            return Err(DjError::Storage("bad shard frame magic".into()));
-        }
-        let len = le_u64(&header[4..12]);
-        if len > MAX_FRAME_PAYLOAD {
-            return Err(DjError::Storage(format!(
-                "implausible shard frame length {len}"
-            )));
-        }
-        r.seek(std::io::SeekFrom::Current(len as i64))?;
-        count += 1;
-    }
-}
-
-/// A loaded-but-undecoded shard frame: the zero-copy spool read path.
-///
-/// [`FrameSlab::load`] reads a slot file once, verifies its checksum, and
-/// decompresses into a single contiguous payload slab. [`FrameSlab::texts_at`]
-/// then borrows `Cow<'_, str>` text slices straight out of that slab
-/// without constructing `Sample`s — so a dedup hash pass over a spilled
-/// shard touches each text byte once and never copies strings the ops
-/// won't mutate.
-#[derive(Debug)]
-pub struct FrameSlab {
-    payload: Vec<u8>,
-}
-
-impl FrameSlab {
-    /// Parse one frame held fully in memory. Rejects trailing bytes —
-    /// a slab is exactly one frame (the spool slot-file invariant).
-    pub fn from_frame_bytes(frame: &[u8]) -> Result<FrameSlab> {
-        if frame.len() < HEADER_LEN {
-            return Err(DjError::Storage(format!(
-                "truncated shard frame header ({} of {HEADER_LEN} bytes)",
-                frame.len()
-            )));
-        }
-        if &frame[..4] != SHARD_FRAME_MAGIC {
-            return Err(DjError::Storage("bad shard frame magic".into()));
-        }
-        let len = le_u64(&frame[4..12]);
-        if len > MAX_FRAME_PAYLOAD {
-            return Err(DjError::Storage(format!(
-                "implausible shard frame length {len}"
-            )));
-        }
-        let checksum = le_u64(&frame[12..20]);
-        let body = &frame[HEADER_LEN..];
-        if (body.len() as u64) < len {
-            return Err(DjError::Storage(format!(
-                "truncated shard frame payload ({} of {len} bytes)",
-                body.len()
-            )));
-        }
-        if (body.len() as u64) > len {
-            return Err(DjError::Storage("trailing bytes after shard frame".into()));
-        }
-        if fnv1a(body) != checksum {
-            return Err(DjError::Storage(
-                "shard frame checksum mismatch (corrupted spill data)".into(),
-            ));
-        }
-        Ok(FrameSlab {
-            payload: decompress(body)?,
-        })
-    }
-
-    /// Load a single-frame file (a spool slot) into a slab.
-    pub fn load(path: impl AsRef<Path>) -> Result<FrameSlab> {
-        let path = path.as_ref();
-        let mut bytes = fs::read(path)
-            .map_err(|e| DjError::Storage(format!("shard frame missing at {path:?}: {e}")))?;
-        dj_core::faults::corrupt("store.frame.read", &mut bytes)?;
-        FrameSlab::from_frame_bytes(&bytes)
-    }
-
-    /// Decompressed payload size in bytes (the slab's memory footprint).
-    pub fn payload_len(&self) -> usize {
-        self.payload.len()
-    }
-
-    /// Sample count, read from the payload header without decoding.
-    pub fn sample_count(&self) -> Result<usize> {
-        sample_count(&self.payload)
-    }
-
-    /// Borrow the text at dotted path `field` for every sample.
-    pub fn texts_at(&self, field: &str) -> Result<Vec<std::borrow::Cow<'_, str>>> {
-        texts_at(&self.payload, field)
-    }
-
-    /// Full decode into an owned dataset (the copying fallback).
-    pub fn decode(&self) -> Result<Dataset> {
-        from_bytes(&self.payload)
-    }
 }
 
 /// A directory of shard frame files: the disk backing of spilled stages.
@@ -328,10 +82,6 @@ impl FrameSlab {
 pub struct ShardSpool {
     dir: PathBuf,
     codec: Codec,
-    /// Write shards as columnar (`DJSC`) frames instead of row frames.
-    /// Reads sniff the per-file magic either way, so a resumed or
-    /// rehydrated spool can mix formats.
-    columnar: bool,
     /// Sample count per written slot (`None` until stored) — the shard
     /// layout metadata the dedup barrier needs to slice its dataset-level
     /// mask back into shards. Grows on demand so streaming ingest can
@@ -349,29 +99,8 @@ impl ShardSpool {
         Ok(ShardSpool {
             dir,
             codec,
-            columnar: false,
             lens: Mutex::new(vec![None; slots]),
         })
-    }
-
-    /// Like [`create`](ShardSpool::create), but shards written through
-    /// [`write_shard`](ShardSpool::write_shard) are stored as columnar
-    /// `DJSC` frames, enabling projection ([`read_columnar_slab`]
-    /// (ShardSpool::read_columnar_slab)) and byte-for-byte column splicing
-    /// ([`write_frame_bytes`](ShardSpool::write_frame_bytes)).
-    pub fn create_columnar(
-        dir: impl Into<PathBuf>,
-        slots: usize,
-        codec: Codec,
-    ) -> Result<ShardSpool> {
-        let mut spool = ShardSpool::create(dir, slots, codec)?;
-        spool.columnar = true;
-        Ok(spool)
-    }
-
-    /// Whether this spool writes columnar frames.
-    pub fn is_columnar(&self) -> bool {
-        self.columnar
     }
 
     pub fn dir(&self) -> &Path {
@@ -390,20 +119,15 @@ impl ShardSpool {
         self.dir.join(format!("shard-{idx:05}.fpr"))
     }
 
-    /// Serialize `shard` into slot `idx` (atomic: temp file then rename).
-    /// Row or columnar frame per the spool's mode.
+    /// Encode `shard` into slot `idx` (atomic: temp file then rename).
     pub fn write_shard(&self, idx: usize, shard: &Dataset) -> Result<()> {
-        let frame = if self.columnar {
-            encode_columnar_frame(shard, self.codec)
-        } else {
-            encode_shard_frame(shard, self.codec)
-        };
+        let frame = encode_columnar_frame(shard, self.codec);
         self.write_frame_bytes(idx, &frame, shard.len())
     }
 
-    /// Store a pre-encoded frame (row or columnar — e.g. the output of a
-    /// column splice) into slot `idx` atomically, recording `samples` as
-    /// the slot's sample count.
+    /// Store a pre-encoded frame (e.g. the output of a column splice, or a
+    /// frame copied out of a cache entry) into slot `idx` atomically,
+    /// recording `samples` as the slot's sample count.
     pub fn write_frame_bytes(&self, idx: usize, frame: &[u8], samples: usize) -> Result<()> {
         let path = self.slot_path(idx);
         let tmp = path.with_extension("djs.tmp");
@@ -493,34 +217,17 @@ impl ShardSpool {
         Ok(Some(all))
     }
 
-    /// Load slot `idx` as an undecoded zero-copy row slab. Errors when the
-    /// slot holds a columnar frame — use
-    /// [`read_columnar_slab`](ShardSpool::read_columnar_slab) for those.
-    pub fn read_frame_slab(&self, idx: usize) -> Result<FrameSlab> {
-        FrameSlab::load(self.slot_path(idx))
-    }
-
-    /// Load slot `idx` as an undecoded columnar slab.
-    pub fn read_columnar_slab(&self, idx: usize) -> Result<ColumnarSlab> {
+    /// Load slot `idx` as an undecoded slab: projection, column reads and
+    /// splices work on it without materializing samples.
+    pub fn read_frame_slab(&self, idx: usize) -> Result<ColumnarSlab> {
         ColumnarSlab::load(self.slot_path(idx))
     }
 
-    /// Read slot `idx` back, sniffing the frame format from its magic.
-    /// Non-destructive: spilled shards can be re-streamed (the dedup
-    /// barrier reads twice — hash pass, mask pass).
+    /// Read slot `idx` back as a dataset. Non-destructive: spilled shards
+    /// can be re-streamed (the dedup barrier reads twice — hash pass, mask
+    /// pass).
     pub fn read_shard(&self, idx: usize) -> Result<Dataset> {
-        let path = self.slot_path(idx);
-        let mut bytes = fs::read(&path).map_err(|e| {
-            DjError::Storage(format!("spilled shard {idx} missing at {path:?}: {e}"))
-        })?;
-        dj_core::faults::corrupt("store.frame.read", &mut bytes)?;
-        // Exactly one frame per slot file (both slab parsers reject
-        // trailing bytes).
-        if bytes.len() >= 4 && &bytes[..4] == COLUMNAR_FRAME_MAGIC {
-            ColumnarSlab::from_frame_bytes(&bytes)?.decode()
-        } else {
-            FrameSlab::from_frame_bytes(&bytes)?.decode()
-        }
+        self.read_frame_slab(idx)?.decode()
     }
 
     /// Sample count of slot `idx`, if it has been written.
@@ -590,6 +297,8 @@ impl Drop for ShardSpool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar::COLUMNAR_FRAME_MAGIC;
+    use crate::serialize::to_bytes;
     use dj_core::Sample;
     use proptest::prelude::*;
 
@@ -615,7 +324,7 @@ mod tests {
     fn frame_roundtrip_all_codecs() {
         for codec in [Codec::None, Codec::Rle, Codec::Djz] {
             for ds in [Dataset::new(), shard(&["a", "b"]), rich_shard()] {
-                let frame = encode_shard_frame(&ds, codec);
+                let frame = encode_columnar_frame(&ds, codec);
                 let back = read_shard_frame(&mut frame.as_slice()).unwrap().unwrap();
                 assert_eq!(back, ds, "codec {codec:?}");
             }
@@ -630,17 +339,15 @@ mod tests {
             rich_shard(),
             shard(&["Ünïcødé ♥ 中文 🦀", ""]),
         ];
-        let mut w = ShardStreamWriter::new(Vec::new(), Codec::Djz);
+        let mut buf = Vec::new();
         for s in &shards {
-            w.write(s).unwrap();
+            write_shard_frame(&mut buf, s, Codec::Djz).unwrap();
         }
-        assert_eq!(w.frames(), 4);
-        let buf = w.finish().unwrap();
-        let mut r = ShardStreamReader::new(buf.as_slice());
+        let mut r = buf.as_slice();
         for expect in &shards {
-            assert_eq!(&r.next_shard().unwrap().unwrap(), expect);
+            assert_eq!(&read_shard_frame(&mut r).unwrap().unwrap(), expect);
         }
-        assert!(r.next_shard().unwrap().is_none());
+        assert!(read_shard_frame(&mut r).unwrap().is_none());
         // And the concatenating reader matches from_shards.
         let merged = read_shard_stream(buf.as_slice()).unwrap();
         assert_eq!(merged, Dataset::from_shards(shards));
@@ -659,7 +366,7 @@ mod tests {
             "payload must span windows"
         );
         for codec in [Codec::None, Codec::Djz] {
-            let frame = encode_shard_frame(&big, codec);
+            let frame = encode_columnar_frame(&big, codec);
             let back = read_shard_frame(&mut frame.as_slice()).unwrap().unwrap();
             assert_eq!(back, big, "codec {codec:?}");
         }
@@ -667,7 +374,7 @@ mod tests {
 
     #[test]
     fn truncated_frames_error_cleanly() {
-        let frame = encode_shard_frame(&rich_shard(), Codec::Djz);
+        let frame = encode_columnar_frame(&rich_shard(), Codec::Djz);
         // Truncation at every prefix length must be a clean Storage error
         // (or clean EOF for the empty prefix), never a panic.
         for cut in [
@@ -690,13 +397,13 @@ mod tests {
 
     #[test]
     fn corrupted_payload_fails_checksum() {
-        let mut frame = encode_shard_frame(&shard(&["corruption target"]), Codec::None);
+        let mut frame = encode_columnar_frame(&shard(&["corruption target"]), Codec::None);
         let last = frame.len() - 1;
         frame[last] ^= 0x40;
         let err = read_shard_frame(&mut frame.as_slice()).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
         // Bad magic likewise.
-        let mut bad = encode_shard_frame(&shard(&["x"]), Codec::None);
+        let mut bad = encode_columnar_frame(&shard(&["x"]), Codec::None);
         bad[0] = b'X';
         assert!(read_shard_frame(&mut bad.as_slice()).is_err());
     }
@@ -704,7 +411,7 @@ mod tests {
     #[test]
     fn implausible_length_rejected_without_allocation() {
         let mut frame = Vec::new();
-        frame.extend_from_slice(SHARD_FRAME_MAGIC);
+        frame.extend_from_slice(COLUMNAR_FRAME_MAGIC);
         frame.extend_from_slice(&u64::MAX.to_le_bytes());
         frame.extend_from_slice(&0u64.to_le_bytes());
         let err = read_shard_frame(&mut frame.as_slice()).unwrap_err();
@@ -810,29 +517,19 @@ mod tests {
     }
 
     #[test]
-    fn columnar_spool_roundtrips_and_streams() {
-        let dir = tmpdir("spool-columnar");
+    fn spool_frames_copy_into_streams_and_splice_back() {
+        let dir = tmpdir("spool-frames");
         let shards = vec![shard(&["a", "b", "c"]), Dataset::new(), rich_shard()];
-        let spool = ShardSpool::create_columnar(&dir, 3, Codec::Djz).unwrap();
-        assert!(spool.is_columnar());
+        let spool = ShardSpool::create(&dir, 3, Codec::Djz).unwrap();
         for (i, s) in shards.iter().enumerate() {
             spool.write_shard(i, s).unwrap();
         }
-        // read_shard sniffs DJSC and decodes whole samples.
-        for (i, s) in shards.iter().enumerate() {
-            assert_eq!(&spool.read_shard(i).unwrap(), s);
-        }
-        assert_eq!(
-            spool.materialize().unwrap(),
-            Dataset::from_shards(shards.clone())
-        );
-        // The columnar slab path sees the same data.
-        let slab = spool.read_columnar_slab(2).unwrap();
+        // The slab path sees the same data as a full read.
+        let slab = spool.read_frame_slab(2).unwrap();
+        assert_eq!(slab.sample_count(), shards[2].len());
+        assert!(slab.payload_len() > 0);
         assert_eq!(slab.decode().unwrap(), shards[2]);
-        // Row slab loads must refuse columnar slots.
-        assert!(spool.read_frame_slab(0).is_err());
-        // Raw frame concatenation (the cache save path) stays readable: the
-        // multi-frame stream reader sniffs per-frame magic.
+        // Raw frame concatenation (the cache save path) is a frame stream.
         let mut buf = Vec::new();
         for i in 0..3 {
             spool.copy_shard_frame_into(i, &mut buf).unwrap();
@@ -841,47 +538,14 @@ mod tests {
             read_shard_stream(buf.as_slice()).unwrap(),
             Dataset::from_shards(shards.clone())
         );
-        assert_eq!(count_frames(&mut std::io::Cursor::new(&buf)).unwrap(), 3);
-        // A pre-encoded splice output lands like any other write.
-        let frame = crate::columnar::encode_columnar_frame(&shards[0], Codec::Djz);
-        spool.write_frame_bytes(1, &frame, shards[0].len()).unwrap();
+        // A stream frame copied back into a slot (the cache rehydrate
+        // path) lands like any other write.
+        let copied = read_frame_slab(&mut buf.as_slice()).unwrap().unwrap();
+        spool
+            .write_frame_bytes(1, copied.frame(), copied.sample_count())
+            .unwrap();
         assert_eq!(spool.read_shard(1).unwrap(), shards[0]);
         assert_eq!(spool.shard_len(1), Some(3));
-    }
-
-    #[test]
-    fn frame_slab_matches_full_decode() {
-        let dir = tmpdir("slab");
-        let spool = ShardSpool::create(&dir, 1, Codec::Djz).unwrap();
-        let ds = rich_shard();
-        spool.write_shard(0, &ds).unwrap();
-        let slab = spool.read_frame_slab(0).unwrap();
-        assert_eq!(slab.sample_count().unwrap(), ds.len());
-        assert!(slab.payload_len() > 0);
-        assert_eq!(slab.decode().unwrap(), ds);
-        let texts = slab.texts_at("text").unwrap();
-        let expected: Vec<&str> = ds.iter().map(|s| s.text()).collect();
-        assert_eq!(
-            texts.iter().map(|c| c.as_ref()).collect::<Vec<_>>(),
-            expected
-        );
-    }
-
-    #[test]
-    fn frame_slab_rejects_corruption_and_trailing_bytes() {
-        let frame = encode_shard_frame(&rich_shard(), Codec::None);
-        assert!(FrameSlab::from_frame_bytes(&frame).is_ok());
-        assert!(FrameSlab::from_frame_bytes(&frame[..frame.len() - 1]).is_err());
-        let mut extra = frame.clone();
-        extra.push(0);
-        let err = FrameSlab::from_frame_bytes(&extra).unwrap_err();
-        assert!(err.to_string().contains("trailing"), "{err}");
-        let mut flipped = frame;
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x01;
-        let err = FrameSlab::from_frame_bytes(&flipped).unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
-        assert!(FrameSlab::load(tmpdir("no-such-slab")).is_err());
     }
 
     proptest! {
@@ -896,7 +560,7 @@ mod tests {
         ) {
             let codec = [Codec::None, Codec::Rle, Codec::Djz][codec_id as usize];
             let ds = Dataset::from_texts(texts);
-            let frame = encode_shard_frame(&ds, codec);
+            let frame = encode_columnar_frame(&ds, codec);
             let back = read_shard_frame(&mut frame.as_slice()).unwrap().unwrap();
             prop_assert_eq!(back, ds);
         }
@@ -909,7 +573,7 @@ mod tests {
             flip_bit in 0u8..8,
         ) {
             let ds = shard(&["a stable document body for corruption testing 0123456789"]);
-            let mut frame = encode_shard_frame(&ds, Codec::None);
+            let mut frame = encode_columnar_frame(&ds, Codec::None);
             let pos = flip_pos % frame.len();
             frame[pos] ^= 1 << flip_bit;
             match read_shard_frame(&mut frame.as_slice()) {

@@ -1,6 +1,6 @@
-//! Columnar (`DJSC`) execution invariants: field-projection pushdown must
-//! never change pipeline output, and its byte accounting must honor the
-//! projected columns' share of the corpus.
+//! `DJSC` spill invariants: field-projection pushdown must never change
+//! pipeline output, and its byte accounting must honor the projected
+//! columns' share of the corpus.
 
 use proptest::prelude::*;
 
@@ -63,40 +63,43 @@ fn full_recipe() -> Recipe {
         .then(OpSpec::new("document_deduplicator"))
 }
 
-fn spill_opts(columnar: bool) -> ExecOptions {
+fn spill_opts() -> ExecOptions {
     ExecOptions {
         num_workers: 2,
         op_fusion: true,
         trace_examples: 0,
         shard_size: Some(8),
         memory_budget: Some(1),
-        columnar,
         ..ExecOptions::default()
     }
 }
 
-/// The headline equivalence: a spilled columnar run produces the same
-/// output as the in-memory row engine, mappers, filters and the dedup
-/// barrier included.
-#[test]
-fn columnar_spilled_run_matches_in_memory_output() {
-    let registry = builtin_registry();
-    let data = metadata_heavy_corpus(120);
-    let ops = full_recipe().build_ops(&registry).unwrap();
-    let baseline = Executor::new(ops.clone()).with_options(ExecOptions {
+/// The in-memory reference run (a huge budget keeps it in memory even
+/// under a suite-wide forced-spill budget).
+fn in_memory(ops: Vec<data_juicer::core::Op>, data: Dataset) -> Dataset {
+    let baseline = Executor::new(ops).with_options(ExecOptions {
         num_workers: 1,
         op_fusion: false,
         trace_examples: 0,
         memory_budget: Some(u64::MAX),
         ..ExecOptions::default()
     });
-    let (expected, _) = baseline.run(data.clone()).unwrap();
+    baseline.run(data).unwrap().0
+}
 
-    let exec = Executor::new(ops).with_options(spill_opts(true));
+/// The headline equivalence: a spilled run produces the same output as
+/// the in-memory engine, mappers, filters and the dedup barrier included.
+#[test]
+fn columnar_spilled_run_matches_in_memory_output() {
+    let registry = builtin_registry();
+    let data = metadata_heavy_corpus(120);
+    let ops = full_recipe().build_ops(&registry).unwrap();
+    let expected = in_memory(ops.clone(), data.clone());
+
+    let exec = Executor::new(ops).with_options(spill_opts());
     let (out, report) = exec.run(data).unwrap();
     assert!(report.spilled);
-    assert!(report.columnar, "the report must flag columnar mode");
-    assert_eq!(out, expected, "columnar output diverged from row engine");
+    assert_eq!(out, expected, "spilled output diverged from in-memory");
     assert!(
         report.bytes_decoded > 0,
         "projected stages must account decoded bytes"
@@ -105,31 +108,6 @@ fn columnar_spilled_run_matches_in_memory_output() {
         report.bytes_passthrough > 0,
         "untouched metadata columns must splice through undecoded"
     );
-}
-
-/// Row-format and columnar spilled runs agree sample-for-sample — the
-/// format knob is invisible to pipeline semantics.
-#[test]
-fn columnar_and_row_spilled_runs_are_identical() {
-    let registry = builtin_registry();
-    let data = metadata_heavy_corpus(90);
-    let ops = full_recipe().build_ops(&registry).unwrap();
-    let (row_out, row_report) = Executor::new(ops.clone())
-        .with_options(spill_opts(false))
-        .run(data.clone())
-        .unwrap();
-    let (col_out, col_report) = Executor::new(ops)
-        .with_options(spill_opts(true))
-        .run(data)
-        .unwrap();
-    assert!(row_report.spilled && col_report.spilled);
-    assert!(col_report.columnar);
-    assert_eq!(col_out, row_out);
-    // Under the CI-wide `DJ_COLUMNAR=1` mode the "row" run is columnar
-    // too; only assert row semantics when the override is off.
-    if !row_report.columnar {
-        assert_eq!(row_report.bytes_decoded, 0, "row runs decode whole frames");
-    }
 }
 
 /// The acceptance bound: on a single-field filter recipe the run's
@@ -162,10 +140,10 @@ fn bytes_decoded_bounded_by_projected_columns_share() {
     );
     let ops = recipe.build_ops(&registry).unwrap();
     let (_, report) = Executor::new(ops)
-        .with_options(spill_opts(true))
+        .with_options(spill_opts())
         .run(data)
         .unwrap();
-    assert!(report.spilled && report.columnar);
+    assert!(report.spilled);
     assert!(report.bytes_decoded > 0);
     assert!(
         report.bytes_decoded <= projected,
@@ -182,27 +160,26 @@ fn bytes_decoded_bounded_by_projected_columns_share() {
     assert!(op.bytes_decoded > 0 && op.bytes_decoded <= projected);
 }
 
-/// The recipe knob drives columnar mode end to end, surviving a YAML
-/// round-trip, with output equal to the same recipe in row format.
+/// A recipe's spill knobs engage projection end to end, and a recipe
+/// still carrying the retired `columnar:` key loads and runs the same way,
+/// with output equal to the in-memory run.
 #[test]
-fn recipe_columnar_knob_engages_and_matches_row_output() {
+fn recipe_with_retired_columnar_key_spills_and_matches_in_memory() {
     let registry = builtin_registry();
     let data = metadata_heavy_corpus(80);
-    let row = full_recipe()
+    let spilled = full_recipe()
         .with_np(2)
         .with_shard_size(8)
         .with_memory_budget(1);
-    let columnar = Recipe::from_yaml(&row.clone().with_columnar(true).to_yaml()).unwrap();
-    assert!(columnar.columnar, "knob must survive the YAML round-trip");
-    let (expected, _) = executor_from_recipe(&row, &registry, true)
-        .unwrap()
-        .run(data.clone())
-        .unwrap();
-    let (out, report) = executor_from_recipe(&columnar, &registry, true)
+    let legacy = Recipe::from_yaml(&format!("{}columnar: true\n", spilled.to_yaml())).unwrap();
+    assert_eq!(legacy, spilled, "the retired key is ignored");
+    let expected = in_memory(full_recipe().build_ops(&registry).unwrap(), data.clone());
+    let (out, report) = executor_from_recipe(&legacy, &registry, true)
         .unwrap()
         .run(data)
         .unwrap();
-    assert!(report.spilled && report.columnar);
+    assert!(report.spilled);
+    assert!(report.bytes_passthrough > 0, "projection must engage");
     assert_eq!(texts(&out), texts(&expected));
 }
 
@@ -213,11 +190,8 @@ fn columnar_with_tracing_still_matches() {
     let registry = builtin_registry();
     let data = metadata_heavy_corpus(60);
     let ops = full_recipe().build_ops(&registry).unwrap();
-    let (expected, _) = Executor::new(ops.clone())
-        .with_options(spill_opts(false))
-        .run(data.clone())
-        .unwrap();
-    let mut opts = spill_opts(true);
+    let expected = in_memory(ops.clone(), data.clone());
+    let mut opts = spill_opts();
     opts.trace_examples = 3;
     let (out, report) = Executor::new(ops).with_options(opts).run(data).unwrap();
     assert_eq!(out, expected);
@@ -264,10 +238,11 @@ proptest! {
         }
     }
 
-    /// For random worker/shard-size splits, the spilled columnar engine
-    /// equals the row engine on the same corpus.
+    /// For random worker/shard-size splits, the spilled engine (projected
+    /// decode + column splice) equals the in-memory engine on a corpus
+    /// with a metadata column no op reads.
     #[test]
-    fn prop_columnar_spill_matches_row_spill(
+    fn prop_projected_spill_matches_in_memory(
         np in 1usize..4,
         shard_size in 3usize..12,
         seed in 0u64..200,
@@ -283,18 +258,16 @@ proptest! {
             ds
         };
         let ops = full_recipe().build_ops(&registry).unwrap();
-        let mk = |columnar: bool| ExecOptions {
-            num_workers: np,
-            op_fusion: true,
-            trace_examples: 0,
-            shard_size: Some(shard_size),
-            memory_budget: Some(1),
-            columnar,
-            ..ExecOptions::default()
-        };
-        let (row, _) = Executor::new(ops.clone()).with_options(mk(false)).run(data.clone()).unwrap();
-        let (col, report) = Executor::new(ops).with_options(mk(true)).run(data).unwrap();
-        prop_assert!(report.columnar);
-        prop_assert_eq!(col, row);
+        let expected = in_memory(ops.clone(), data.clone());
+        let (out, report) = Executor::new(ops)
+            .with_options(ExecOptions {
+                num_workers: np,
+                shard_size: Some(shard_size),
+                ..spill_opts()
+            })
+            .run(data)
+            .unwrap();
+        prop_assert!(report.spilled);
+        prop_assert_eq!(out, expected);
     }
 }

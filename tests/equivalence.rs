@@ -179,9 +179,10 @@ fn serialization_roundtrip_preserves_pipeline_output() {
     let (out, _) = Executor::new(ops)
         .run(web_corpus(99, 60, WebNoise::default()))
         .unwrap();
-    // Binary and JSONL roundtrips preserve everything, including stats.
-    let bin = data_juicer::store::to_bytes(&out);
-    assert_eq!(data_juicer::store::from_bytes(&bin).unwrap(), out);
+    // Shard-frame and JSONL roundtrips preserve everything, including stats.
+    let frame = data_juicer::store::encode_shard_frame(&out, data_juicer::store::Codec::Djz);
+    let back = data_juicer::store::read_shard_frame(&mut frame.as_slice()).unwrap();
+    assert_eq!(back.unwrap(), out);
     let jsonl = data_juicer::store::to_jsonl(&out);
     assert_eq!(data_juicer::store::from_jsonl(&jsonl).unwrap(), out);
 }

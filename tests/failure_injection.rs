@@ -5,10 +5,10 @@
 use std::sync::Arc;
 
 use data_juicer::config::{OpSpec, Recipe};
-use data_juicer::core::{DjError, Filter, Mapper, Op, Result, Sample, SampleContext};
+use data_juicer::core::{Dataset, DjError, Filter, Mapper, Op, Result, Sample, SampleContext};
 use data_juicer::exec::{ExecOptions, Executor};
 use data_juicer::ops::builtin_registry;
-use data_juicer::store::{CacheManager, CacheMode};
+use data_juicer::store::{compress, to_bytes, CacheManager, CacheMode, Codec, CACHE_ENTRY_EXT};
 use data_juicer::synth::{web_corpus, WebNoise};
 
 /// A mapper that fails on any sample containing a trigger token.
@@ -134,7 +134,7 @@ fn run_restarts_cleanly_after_simulated_mid_stage_kill() {
     let _ = std::fs::remove_dir_all(&dir);
     let debris = dir.join("dj-spill-99999-0");
     std::fs::create_dir_all(&debris).unwrap();
-    std::fs::write(debris.join("shard-00000.djs"), b"DJSF\x20partial garbage").unwrap();
+    std::fs::write(debris.join("shard-00000.djs"), b"DJSC\x20partial garbage").unwrap();
     std::fs::write(debris.join("shard-00001.djs.tmp"), b"half a frame").unwrap();
 
     let registry = builtin_registry();
@@ -235,6 +235,75 @@ fn corrupt_cache_entry_falls_back_to_fresh_execution() {
         out.iter().map(|s| s.text()).collect::<Vec<_>>(),
         expected.iter().map(|s| s.text()).collect::<Vec<_>>()
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every cache entry is a checksummed frame stream: one flipped payload
+/// byte fails the entry's FNV check and the run recomputes, byte-identical
+/// to a fresh run. An entry left in the previous cache format at the old
+/// path is never read.
+#[test]
+fn flipped_cache_byte_recomputes_and_old_format_entries_stay_cold() {
+    let registry = builtin_registry();
+    let recipe = Recipe::new("cache-bitflip")
+        .then(OpSpec::new("whitespace_normalization_mapper"))
+        .then(
+            OpSpec::new("text_length_filter")
+                .with("min_len", 10.0)
+                .with("max_len", 1e9),
+        );
+    let ops = recipe.build_ops(&registry).unwrap();
+    let data = web_corpus(13, 40, WebNoise::default());
+    let exec = Executor::new(ops).with_options(ExecOptions {
+        num_workers: 1,
+        trace_examples: 0,
+        shard_size: None,
+        ..ExecOptions::default()
+    });
+    let fresh = to_bytes(&exec.run(data.clone()).unwrap().0);
+
+    let dir = std::env::temp_dir().join(format!("dj-it-bitflip-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = CacheManager::new(&dir, recipe.fingerprint(), CacheMode::Cache);
+    let (first, _) = exec.run_with_cache(data.clone(), &cache).unwrap();
+    assert_eq!(to_bytes(&first), fresh);
+    let recipe_dir = std::fs::read_dir(&dir)
+        .unwrap()
+        .next()
+        .unwrap()
+        .unwrap()
+        .path();
+    let entries: Vec<_> = std::fs::read_dir(&recipe_dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == CACHE_ENTRY_EXT))
+        .collect();
+    assert_eq!(entries.len(), 1, "one pipeline stage, one entry");
+    let entry = &entries[0];
+    let (_, report) = exec.run_with_cache(data.clone(), &cache).unwrap();
+    assert!(report.resumed_steps > 0, "an intact entry resumes");
+
+    let mut bytes = std::fs::read(entry).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x20;
+    std::fs::write(entry, &bytes).unwrap();
+    let (out, report) = exec.run_with_cache(data.clone(), &cache).unwrap();
+    assert_eq!(report.resumed_steps, 0, "a corrupt entry must not resume");
+    assert_eq!(to_bytes(&out), fresh);
+
+    // The previous format stored an unchecksummed compressed dataset at
+    // `<entry>.djc`. Plant one holding different data: were it read, the
+    // run would resume from it and diverge.
+    let decoy = Dataset::from_texts(["a decoy sample the pipeline never produced"]);
+    std::fs::write(
+        entry.with_extension("djc"),
+        compress(&to_bytes(&decoy), Codec::Djz),
+    )
+    .unwrap();
+    std::fs::remove_file(entry).unwrap();
+    let (out, report) = exec.run_with_cache(data, &cache).unwrap();
+    assert_eq!(report.resumed_steps, 0, "old-format entries stay cold");
+    assert_eq!(to_bytes(&out), fresh);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
