@@ -158,6 +158,7 @@ impl RedPajamaStyle {
                     return false;
                 }
                 let words = dj_core::segment_words(t);
+                let words: Vec<&str> = words.iter().map(String::as_str).collect();
                 if tstats::word_rep_ratio(&words, p.rep_len) > p.max_word_rep {
                     return false;
                 }
@@ -228,15 +229,18 @@ impl DolmaStyle {
                     a.insert("alnum".to_string(), tstats::alnum_ratio(&t));
                     a.insert("special".to_string(), tstats::special_char_ratio(&t));
                     let words = dj_core::segment_words(&t);
+                    let words: Vec<&str> = words.iter().map(String::as_str).collect();
                     a.insert(
                         "word_rep".to_string(),
                         tstats::word_rep_ratio(&words, p.rep_len),
                     );
                     // The flagged-words tagger tokenizes yet again.
                     let flagged = lexicon::flagged_words();
+                    let words = dj_core::segment_words(&t);
+                    let words: Vec<&str> = words.iter().map(String::as_str).collect();
                     a.insert(
                         "flagged".to_string(),
-                        tstats::lexicon_ratio(&dj_core::segment_words(&t), &flagged),
+                        tstats::lexicon_ratio(&words, &flagged),
                     );
                     a
                 })

@@ -6,6 +6,9 @@
 //! were computed from, so fused operators reuse them instead of re-deriving
 //! them. The context is cleared after each (fused) OP to keep memory flat.
 
+use std::ops::Range;
+use std::str::CharIndices;
+
 /// Bit flags describing which derived views an operator consumes.
 ///
 /// Two Filters are *fusible* when their context needs intersect (they share
@@ -35,12 +38,18 @@ impl ContextNeeds {
     }
 }
 
+/// Identifies a text within one version: `(version, address, length)`.
+/// A lookup with any other text recomputes instead of slicing it with
+/// spans cut from a different string.
+type TextKey = (u64, usize, usize);
+
 /// Memoized per-sample derived views, keyed by a version counter that the
 /// executor bumps whenever a Mapper rewrites the text.
 #[derive(Debug, Default)]
 pub struct SampleContext {
     version: u64,
-    words: Option<(u64, Vec<String>)>,
+    /// Word byte spans and the text they were cut from.
+    words: Option<(TextKey, Vec<Range<usize>>)>,
     lines: Option<(u64, Vec<String>)>,
     sentences: Option<(u64, Vec<String>)>,
     /// Count of (re)computations, exposed for the context-reuse ablation.
@@ -69,16 +78,18 @@ impl SampleContext {
     ///
     /// Word segmentation is Unicode-alphanumeric runs; CJK characters are
     /// treated as single-character words, which matches how the paper's
-    /// Chinese OPs count tokens without a whitespace convention.
-    pub fn words(&mut self, text: &str) -> &[String] {
-        if self.words.as_ref().map(|(v, _)| *v) != Some(self.version) {
-            self.compute_count += 1;
-            self.words = Some((self.version, segment_words(text)));
-        }
-        match &self.words {
-            Some((_, w)) => w,
-            None => &[], // unreachable: just set above
-        }
+    /// Chinese OPs count tokens without a whitespace convention. Only the
+    /// byte spans are memoized; the returned words borrow from `text`.
+    pub fn words<'t>(&mut self, text: &'t str) -> Vec<&'t str> {
+        let key = (self.version, text.as_ptr() as usize, text.len());
+        let spans = match &mut self.words {
+            Some((k, spans)) if *k == key => spans,
+            slot => {
+                self.compute_count += 1;
+                &slot.insert((key, word_spans(text).collect())).1
+            }
+        };
+        spans.iter().map(|r| &text[r.clone()]).collect()
     }
 
     /// Lines of `text` (split on `\n`), computed at most once per version.
@@ -106,26 +117,67 @@ impl SampleContext {
     }
 }
 
-/// Unicode-aware word segmentation shared by OPs and the analyzer.
+/// Unicode-aware word segmentation shared by OPs and the analyzer: the
+/// words of `text` as owned strings. Collects [`word_spans`].
 pub fn segment_words(text: &str) -> Vec<String> {
-    let mut words = Vec::new();
-    let mut cur = String::new();
-    for c in text.chars() {
-        if is_cjk(c) {
-            if !cur.is_empty() {
-                words.push(std::mem::take(&mut cur));
-            }
-            words.push(c.to_string());
-        } else if c.is_alphanumeric() || c == '_' || c == '\'' {
-            cur.push(c);
-        } else if !cur.is_empty() {
-            words.push(std::mem::take(&mut cur));
+    word_spans(text).map(|r| text[r].to_string()).collect()
+}
+
+/// The byte spans of the words of `text`, in order — the one word
+/// segmentation every view of words is cut from.
+///
+/// A word is a maximal run of alphanumeric characters, `_` and `'`; every
+/// CJK character (see [`is_cjk`]) is a word of its own.
+pub fn word_spans(text: &str) -> WordSpans<'_> {
+    WordSpans {
+        chars: text.char_indices(),
+        len: text.len(),
+        start: None,
+        pending: None,
+    }
+}
+
+/// Iterator returned by [`word_spans`].
+#[derive(Debug, Clone)]
+pub struct WordSpans<'a> {
+    chars: CharIndices<'a>,
+    len: usize,
+    /// Start of the word being scanned, if inside one.
+    start: Option<usize>,
+    /// A CJK word found right after a word that ended at it.
+    pending: Option<Range<usize>>,
+}
+
+impl Iterator for WordSpans<'_> {
+    type Item = Range<usize>;
+
+    fn next(&mut self) -> Option<Range<usize>> {
+        if let Some(r) = self.pending.take() {
+            return Some(r);
         }
+        for (i, c) in self.chars.by_ref() {
+            let in_word = if c.is_ascii() {
+                c.is_ascii_alphanumeric() || c == '_' || c == '\''
+            } else if is_cjk(c) {
+                let cjk = i..i + c.len_utf8();
+                return match self.start.take() {
+                    Some(s) => {
+                        self.pending = Some(cjk);
+                        Some(s..i)
+                    }
+                    None => Some(cjk),
+                };
+            } else {
+                c.is_alphanumeric()
+            };
+            if in_word {
+                self.start.get_or_insert(i);
+            } else if let Some(s) = self.start.take() {
+                return Some(s..i);
+            }
+        }
+        self.start.take().map(|s| s..self.len)
     }
-    if !cur.is_empty() {
-        words.push(cur);
-    }
-    words
 }
 
 /// Sentence segmentation on terminal punctuation (ASCII + CJK).

@@ -4,77 +4,129 @@
 //! inverse. Implemented from scratch because `serde_json` is outside the
 //! allowed dependency set (see DESIGN.md). Supports the full JSON grammar
 //! with `\uXXXX` escapes (including surrogate pairs).
+//!
+//! The parser walks the input's bytes and copies each run of unescaped
+//! string content with one `push_str`. Error offsets are reported in
+//! *characters* (not bytes) from the start of the input; the conversion
+//! happens only on the error path. Containers nest at most [`MAX_DEPTH`]
+//! deep, so hostile input is a typed error instead of a stack overflow.
 
 use std::collections::BTreeMap;
 
 use crate::error::{DjError, Result};
 use crate::value::Value;
 
+/// Deepest container nesting [`parse_json`] accepts. Deeper input is a
+/// [`DjError::Parse`], never a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document into a [`Value`].
 pub fn parse_json(input: &str) -> Result<Value> {
     let mut p = Parser {
-        chars: input.chars().collect(),
+        src: input,
+        bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
     p.skip_ws();
-    if p.pos != p.chars.len() {
+    if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters after JSON value"));
     }
     Ok(v)
 }
 
-struct Parser {
-    chars: Vec<char>,
+/// Byte-level cursor. `pos` is a byte offset that always sits on a char
+/// boundary: it only ever moves by whole characters.
+struct Parser<'a> {
+    src: &'a str,
+    bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn err(&self, msg: &str) -> DjError {
-        DjError::Parse(format!("json: {msg} at offset {}", self.pos))
+        let offset = self.src.get(..self.pos).map_or(0, |s| s.chars().count());
+        DjError::Parse(format!("json: {msg} at offset {offset}"))
     }
 
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+    fn peek_byte(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
     }
 
+    /// The character at the cursor, decoded only where a message or a
+    /// non-ASCII step needs it.
+    fn peek_char(&self) -> Option<char> {
+        self.src.get(self.pos..).and_then(|s| s.chars().next())
+    }
+
+    /// Consume one whole character.
     fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if c.is_some() {
-            self.pos += 1;
+        let c = self.peek_char()?;
+        self.pos += c.len_utf8();
+        Some(c)
+    }
+
+    /// Step back one character (no-op at the start of input).
+    fn back(&mut self) {
+        if self.pos > 0 {
+            self.pos -= 1;
+            while !self.src.is_char_boundary(self.pos) {
+                self.pos -= 1;
+            }
         }
-        c
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(' ' | '\t' | '\n' | '\r')) {
+        while matches!(self.peek_byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, c: char) -> Result<()> {
-        if self.bump() == Some(c) {
+    /// Consume the ASCII byte `c` or fail pointing at what stood there
+    /// (at end of input, at the last character).
+    fn expect(&mut self, c: u8) -> Result<()> {
+        if self.peek_byte() == Some(c) {
+            self.pos += 1;
             Ok(())
         } else {
-            self.pos = self.pos.saturating_sub(1);
-            Err(self.err(&format!("expected `{c}`")))
+            if self.peek_byte().is_none() {
+                self.back();
+            }
+            Err(self.err(&format!("expected `{}`", c as char)))
         }
     }
 
     fn parse_value(&mut self) -> Result<Value> {
         self.skip_ws();
-        match self.peek() {
-            Some('{') => self.parse_object(),
-            Some('[') => self.parse_array(),
-            Some('"') => Ok(Value::Str(self.parse_string()?)),
-            Some('t') => self.parse_literal("true", Value::Bool(true)),
-            Some('f') => self.parse_literal("false", Value::Bool(false)),
-            Some('n') => self.parse_literal("null", Value::Null),
-            Some(c) if c == '-' || c.is_ascii_digit() => self.parse_number(),
-            Some(c) => Err(self.err(&format!("unexpected character `{c}`"))),
+        match self.peek_byte() {
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
+            Some(b't') => self.parse_literal("true", Value::Bool(true)),
+            Some(b'f') => self.parse_literal("false", Value::Bool(false)),
+            Some(b'n') => self.parse_literal("null", Value::Null),
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
+            Some(_) => {
+                let c = self.peek_char().unwrap_or(char::REPLACEMENT_CHARACTER);
+                Err(self.err(&format!("unexpected character `{c}`")))
+            }
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Run one container parser one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn parse_literal(&mut self, lit: &str, v: Value) -> Result<Value> {
@@ -87,26 +139,31 @@ impl Parser {
     }
 
     fn parse_object(&mut self) -> Result<Value> {
-        self.expect('{')?;
+        self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
-        if self.peek() == Some('}') {
-            self.bump();
+        if self.peek_byte() == Some(b'}') {
+            self.pos += 1;
             return Ok(Value::Map(map));
         }
         loop {
             self.skip_ws();
             let key = self.parse_string()?;
             self.skip_ws();
-            self.expect(':')?;
+            self.expect(b':')?;
             let value = self.parse_value()?;
             map.insert(key, value);
             self.skip_ws();
-            match self.bump() {
-                Some(',') => continue,
-                Some('}') => return Ok(Value::Map(map)),
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
+            match self.peek_byte() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Map(map));
+                }
+                other => {
+                    if other.is_none() {
+                        self.back();
+                    }
                     return Err(self.err("expected `,` or `}` in object"));
                 }
             }
@@ -114,21 +171,26 @@ impl Parser {
     }
 
     fn parse_array(&mut self) -> Result<Value> {
-        self.expect('[')?;
+        self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(']') {
-            self.bump();
+        if self.peek_byte() == Some(b']') {
+            self.pos += 1;
             return Ok(Value::List(items));
         }
         loop {
             items.push(self.parse_value()?);
             self.skip_ws();
-            match self.bump() {
-                Some(',') => continue,
-                Some(']') => return Ok(Value::List(items)),
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
+            match self.peek_byte() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::List(items));
+                }
+                other => {
+                    if other.is_none() {
+                        self.back();
+                    }
                     return Err(self.err("expected `,` or `]` in array"));
                 }
             }
@@ -136,13 +198,27 @@ impl Parser {
     }
 
     fn parse_string(&mut self) -> Result<String> {
-        self.expect('"')?;
+        self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some('"') => return Ok(out),
-                Some('\\') => match self.bump() {
+            // Copy the run up to the next quote, backslash or control
+            // byte in one go. Those are all ASCII, so the run ends on a
+            // char boundary.
+            let start = self.pos;
+            while let Some(&b) = self.bytes.get(self.pos) {
+                if b == b'"' || b == b'\\' || b < 0x20 {
+                    break;
+                }
+                self.pos += 1;
+            }
+            out.push_str(self.src.get(start..self.pos).unwrap_or_default());
+            let Some(b) = self.peek_byte() else {
+                return Err(self.err("unterminated string"));
+            };
+            self.pos += 1;
+            match b {
+                b'"' => return Ok(out),
+                b'\\' => match self.bump() {
                     Some('"') => out.push('"'),
                     Some('\\') => out.push('\\'),
                     Some('/') => out.push('/'),
@@ -155,8 +231,8 @@ impl Parser {
                         let hi = self.parse_hex4()?;
                         let c = if (0xD800..0xDC00).contains(&hi) {
                             // Surrogate pair: require \uXXXX low surrogate.
-                            self.expect('\\')?;
-                            self.expect('u')?;
+                            self.expect(b'\\')?;
+                            self.expect(b'u')?;
                             let lo = self.parse_hex4()?;
                             if !(0xDC00..0xE000).contains(&lo) {
                                 return Err(self.err("invalid low surrogate"));
@@ -170,10 +246,7 @@ impl Parser {
                     }
                     _ => return Err(self.err("invalid escape sequence")),
                 },
-                Some(c) if (c as u32) < 0x20 => {
-                    return Err(self.err("raw control character in string"))
-                }
-                Some(c) => out.push(c),
+                _ => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -194,31 +267,31 @@ impl Parser {
 
     fn parse_number(&mut self) -> Result<Value> {
         let start = self.pos;
-        if self.peek() == Some('-') {
-            self.bump();
+        let digits = |p: &mut Self| {
+            while matches!(p.peek_byte(), Some(b) if b.is_ascii_digit()) {
+                p.pos += 1;
+            }
+        };
+        if self.peek_byte() == Some(b'-') {
+            self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.bump();
-        }
+        digits(self);
         let mut is_float = false;
-        if self.peek() == Some('.') {
+        if self.peek_byte() == Some(b'.') {
             is_float = true;
-            self.bump();
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.bump();
-            }
+            self.pos += 1;
+            digits(self);
         }
-        if matches!(self.peek(), Some('e' | 'E')) {
+        if matches!(self.peek_byte(), Some(b'e' | b'E')) {
             is_float = true;
-            self.bump();
-            if matches!(self.peek(), Some('+' | '-')) {
-                self.bump();
+            self.pos += 1;
+            if matches!(self.peek_byte(), Some(b'+' | b'-')) {
+                self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.bump();
-            }
+            digits(self);
         }
-        let text: String = self.chars[start..self.pos].iter().collect();
+        // Only ASCII was consumed, so the slice is on char boundaries.
+        let text = self.src.get(start..self.pos).unwrap_or_default();
         if is_float {
             text.parse::<f64>()
                 .map(Value::Float)
@@ -309,6 +382,21 @@ mod tests {
     fn big_integers_fall_back_to_float() {
         let v = parse_json("99999999999999999999999").unwrap();
         assert!(matches!(v, Value::Float(_)));
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse_json(&nest(MAX_DEPTH)).is_ok());
+        let err = parse_json(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(matches!(err, DjError::Parse(_)), "{err}");
+        assert!(
+            err.to_string()
+                .contains("nesting deeper than 128 levels at offset 128"),
+            "{err}"
+        );
+        let hostile = format!("{{\"text\":{}", "[".repeat(1_000_000));
+        assert!(parse_json(&hostile).is_err());
     }
 
     #[test]

@@ -34,13 +34,17 @@ pub mod error;
 pub mod faults;
 pub mod json;
 pub mod op;
+#[cfg(test)]
+mod oracle;
 pub mod pool;
 pub mod sample;
 pub mod shard;
 pub mod sync;
 pub mod value;
 
-pub use context::{is_cjk, segment_sentences, segment_words, ContextNeeds, SampleContext};
+pub use context::{
+    is_cjk, segment_sentences, segment_words, word_spans, ContextNeeds, SampleContext, WordSpans,
+};
 pub use dataset::Dataset;
 pub use error::{panic_message, DjError, OnError, Result};
 pub use faults::{ErrKind, FaultGuard, FaultPlan, FaultSpec};

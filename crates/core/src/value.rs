@@ -221,8 +221,8 @@ impl fmt::Display for Value {
     /// JSON-compatible rendering (used by the JSONL exporter).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Null => write!(f, "null"),
-            Value::Bool(b) => write!(f, "{b}"),
+            Value::Null => f.write_str("null"),
+            Value::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
             Value::Int(i) => write!(f, "{i}"),
             Value::Float(x) => {
                 if x.is_finite() {
@@ -233,49 +233,61 @@ impl fmt::Display for Value {
                     }
                 } else {
                     // JSON has no Inf/NaN literal; emit null like Python's json.
-                    write!(f, "null")
+                    f.write_str("null")
                 }
             }
             Value::Str(s) => write_json_string(f, s),
             Value::List(l) => {
-                write!(f, "[")?;
+                f.write_str("[")?;
                 for (i, v) in l.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        f.write_str(",")?;
                     }
-                    write!(f, "{v}")?;
+                    fmt::Display::fmt(v, f)?;
                 }
-                write!(f, "]")
+                f.write_str("]")
             }
             Value::Map(m) => {
-                write!(f, "{{")?;
+                f.write_str("{")?;
                 for (i, (k, v)) in m.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        f.write_str(",")?;
                     }
                     write_json_string(f, k)?;
-                    write!(f, ":{v}")?;
+                    f.write_str(":")?;
+                    fmt::Display::fmt(v, f)?;
                 }
-                write!(f, "}}")
+                f.write_str("}")
             }
         }
     }
 }
 
+/// Write `s` as a quoted JSON string. Every byte that needs escaping is
+/// ASCII, so the runs between them are written whole.
 fn write_json_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    f.write_str("\"")?;
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        f.write_str(&s[run..i])?;
+        if esc.is_empty() {
+            write!(f, "\\u{b:04x}")?;
+        } else {
+            f.write_str(esc)?;
         }
+        run = i + 1;
     }
-    write!(f, "\"")
+    f.write_str(&s[run..])?;
+    f.write_str("\"")
 }
 
 #[cfg(test)]

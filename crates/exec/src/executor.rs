@@ -723,9 +723,15 @@ impl Executor {
     }
 
     /// Auto-tune unset performance knobs from a warm model's measured
-    /// throughput. Returns a tuned executor clone plus what was tuned, or
-    /// `None` when nothing changed (cold model, or every knob explicit).
-    fn autotuned(&self, model: Option<&CostModel>) -> Option<(Executor, TunedKnobs)> {
+    /// throughput. `samples` is the input size when it is known up front
+    /// (in-memory runs). Returns a tuned executor clone plus what was
+    /// tuned, or `None` when nothing changed (cold model, or every knob
+    /// explicit).
+    fn autotuned(
+        &self,
+        model: Option<&CostModel>,
+        samples: Option<usize>,
+    ) -> Option<(Executor, TunedKnobs)> {
         let model = model.filter(|m| m.is_warm())?;
         let mut options = self.options.clone();
         let mut tuned = TunedKnobs::default();
@@ -734,7 +740,12 @@ impl Executor {
                 // Size shards to ~SHARD_TARGET_SECONDS of measured work
                 // each: big enough to amortize scheduling, small enough
                 // that work stealing can absorb stragglers.
-                let size = ((sps * SHARD_TARGET_SECONDS) as usize).clamp(64, 1 << 16);
+                let mut size = ((sps * SHARD_TARGET_SECONDS) as usize).clamp(64, 1 << 16);
+                // A known input is cut into at least one shard per worker:
+                // a bigger shard would leave workers idle.
+                if let Some(n) = samples {
+                    size = size.min(n.div_ceil(options.num_workers.max(1)).max(1));
+                }
                 options.shard_size = Some(size);
                 tuned.shard_size = Some(size);
             }
@@ -817,7 +828,7 @@ impl Executor {
         } else {
             None
         };
-        let tuned = self.autotuned(model.as_ref());
+        let tuned = self.autotuned(model.as_ref(), None);
         let (exec, knobs) = match &tuned {
             Some((e, k)) => (e, *k),
             None => (self, TunedKnobs::default()),
@@ -1103,7 +1114,7 @@ impl Executor {
         } else {
             None
         };
-        let tuned = self.autotuned(model.as_ref());
+        let tuned = self.autotuned(model.as_ref(), Some(dataset.len()));
         let (exec, knobs) = match &tuned {
             Some((e, k)) => (e, *k),
             None => (self, TunedKnobs::default()),
@@ -3120,5 +3131,24 @@ mod tests {
                 assert!(report.barrier_duration <= report.total_duration);
             }
         }
+    }
+
+    #[test]
+    fn autotuned_shard_size_leaves_every_worker_a_shard() {
+        // Measured throughput sizes a ~50 ms shard at 1,000 samples.
+        let mut model = CostModel::new();
+        model.observe_step("f", 1000, 1000, Duration::from_millis(1));
+        model.set_tunable(TUNE_SAMPLES_PER_SEC, 20_000.0);
+        let mut options = opts(2, true, 0);
+        options.shard_size = None;
+        let exec = Executor::new(Vec::new()).with_options(options);
+
+        let (tuned, knobs) = exec.autotuned(Some(&model), Some(900)).unwrap();
+        assert_eq!(knobs.shard_size, Some(450));
+        assert_eq!(tuned.options.shard_count(900), 2);
+
+        // A streamed input's size is unknown up front: no cap.
+        let (_, knobs) = exec.autotuned(Some(&model), None).unwrap();
+        assert_eq!(knobs.shard_size, Some(1000));
     }
 }

@@ -32,10 +32,8 @@ impl Hasher for FxHasher {
         }
         let rem = chunks.remainder();
         if !rem.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
             // Mix in the remainder length so "a" and "a\0" differ.
-            self.add_to_hash(u64::from_le_bytes(buf) ^ (rem.len() as u64));
+            self.add_to_hash(load_partial(rem) ^ (rem.len() as u64));
         }
     }
 
@@ -57,6 +55,26 @@ impl Hasher for FxHasher {
         h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
         h ^= h >> 33;
         h
+    }
+}
+
+/// The 1–7 bytes of `rem` as a little-endian `u64`, zero-padded. Two
+/// overlapping loads cover the bytes; where they overlap they carry the
+/// same bytes at the same positions, so OR-ing them is exact — and avoids
+/// a variable-length copy into a padded buffer.
+#[inline]
+fn load_partial(rem: &[u8]) -> u64 {
+    let n = rem.len();
+    if n >= 4 {
+        let lo = u32::from_le_bytes([rem[0], rem[1], rem[2], rem[3]]) as u64;
+        let hi = u32::from_le_bytes([rem[n - 4], rem[n - 3], rem[n - 2], rem[n - 1]]) as u64;
+        lo | hi << (8 * (n - 4))
+    } else if n >= 2 {
+        let lo = u16::from_le_bytes([rem[0], rem[1]]) as u64;
+        let hi = u16::from_le_bytes([rem[n - 2], rem[n - 1]]) as u64;
+        lo | hi << (8 * (n - 2))
+    } else {
+        rem[0] as u64
     }
 }
 
@@ -102,6 +120,20 @@ mod tests {
         assert_eq!(hash64(b"hello"), hash64(b"hello"));
         assert_ne!(hash64(b"hello"), hash64(b"hellp"));
         assert_ne!(hash64_seeded(b"hello", 1), hash64_seeded(b"hello", 2));
+    }
+
+    #[test]
+    fn partial_load_matches_zero_padded_buffer() {
+        let bytes: Vec<u8> = (0..7u8).map(|i| 0x80 | (i * 37)).collect();
+        for n in 1..=7 {
+            let mut buf = [0u8; 8];
+            buf[..n].copy_from_slice(&bytes[..n]);
+            assert_eq!(
+                load_partial(&bytes[..n]),
+                u64::from_le_bytes(buf),
+                "len {n}"
+            );
+        }
     }
 
     #[test]

@@ -168,7 +168,7 @@ impl Deduplicator for MinHashDeduplicator {
     }
 
     fn compute_hash_text(&self, text: &str, ctx: &mut SampleContext) -> Result<Value> {
-        let sig = self.hasher.signature(ctx.words(text));
+        let sig = self.hasher.signature(&ctx.words(text));
         Ok(Value::List(
             sig.into_iter().map(|v| Value::Int(v as i64)).collect(),
         ))
@@ -234,7 +234,7 @@ impl Deduplicator for SimHashDeduplicator {
     }
 
     fn compute_hash_text(&self, text: &str, ctx: &mut SampleContext) -> Result<Value> {
-        let fp = simhash_tokens(ctx.words(text));
+        let fp = simhash_tokens(&ctx.words(text));
         Ok(Value::Int(fp as i64))
     }
 

@@ -111,8 +111,10 @@ macro_rules! range_filter {
                 if sample.has_stat($stats_key) {
                     return Ok(());
                 }
-                let $text = sample.text_at(&self.field).to_string();
-                let v: f64 = $compute;
+                let v: f64 = {
+                    let $text = sample.text_at(&self.field);
+                    $compute
+                };
                 sample.set_stat($stats_key, v);
                 Ok(())
             }
@@ -134,7 +136,7 @@ range_filter!(
     /// (`alphanumeric_ratio_filter`).
     AlnumRatioFilter, "alphanumeric_ratio_filter", "alnum_ratio",
     needs: ContextNeeds::CHARS, cost: OpCost::Cheap,
-    |text, _ctx| tstats::alnum_ratio(&text)
+    |text, _ctx| tstats::alnum_ratio(text)
 );
 
 range_filter!(
@@ -142,7 +144,7 @@ range_filter!(
     /// (`special_characters_filter`).
     SpecialCharsFilter, "special_characters_filter", "special_char_ratio",
     needs: ContextNeeds::CHARS, cost: OpCost::Cheap,
-    |text, _ctx| tstats::special_char_ratio(&text)
+    |text, _ctx| tstats::special_char_ratio(text)
 );
 
 range_filter!(
@@ -150,7 +152,7 @@ range_filter!(
     /// (`whitespace_ratio_filter`).
     WhitespaceRatioFilter, "whitespace_ratio_filter", "whitespace_ratio",
     needs: ContextNeeds::CHARS, cost: OpCost::Cheap,
-    |text, _ctx| tstats::whitespace_ratio(&text)
+    |text, _ctx| tstats::whitespace_ratio(text)
 );
 
 range_filter!(
@@ -158,7 +160,7 @@ range_filter!(
     /// (`uppercase_ratio_filter`).
     UppercaseRatioFilter, "uppercase_ratio_filter", "uppercase_ratio",
     needs: ContextNeeds::CHARS, cost: OpCost::Cheap,
-    |text, _ctx| tstats::uppercase_ratio(&text)
+    |text, _ctx| tstats::uppercase_ratio(text)
 );
 
 range_filter!(
@@ -166,7 +168,7 @@ range_filter!(
     /// recipes relax the max (`spec_numerals_filter`).
     DigitRatioFilter, "spec_numerals_filter", "digit_ratio",
     needs: ContextNeeds::CHARS, cost: OpCost::Cheap,
-    |text, _ctx| tstats::digit_ratio(&text)
+    |text, _ctx| tstats::digit_ratio(text)
 );
 
 range_filter!(
@@ -180,7 +182,7 @@ range_filter!(
     /// Keep samples whose word count is in range (`word_num_filter`).
     WordNumFilter, "word_num_filter", "word_count",
     needs: ContextNeeds::WORDS, cost: OpCost::Cheap,
-    |text, ctx| ctx.words(&text).len() as f64
+    |text, ctx| ctx.words(text).len() as f64
 );
 
 range_filter!(
@@ -188,7 +190,7 @@ range_filter!(
     /// (`average_line_length_filter`).
     AvgLineLengthFilter, "average_line_length_filter", "avg_line_length",
     needs: ContextNeeds::LINES, cost: OpCost::Cheap,
-    |text, ctx| tstats::avg_line_length(ctx.lines(&text))
+    |text, ctx| tstats::avg_line_length(ctx.lines(text))
 );
 
 range_filter!(
@@ -196,7 +198,7 @@ range_filter!(
     /// (`maximum_line_length_filter`).
     MaxLineLengthFilter, "maximum_line_length_filter", "max_line_length",
     needs: ContextNeeds::LINES, cost: OpCost::Cheap,
-    |text, ctx| tstats::max_line_length(ctx.lines(&text))
+    |text, ctx| tstats::max_line_length(ctx.lines(text))
 );
 
 range_filter!(
@@ -204,7 +206,7 @@ range_filter!(
     /// (`paragraph_count_filter`).
     ParagraphCountFilter, "paragraph_count_filter", "paragraph_count",
     needs: ContextNeeds::NONE, cost: OpCost::Cheap,
-    |text, _ctx| tstats::paragraph_count(&text) as f64
+    |text, _ctx| tstats::paragraph_count(text) as f64
 );
 
 range_filter!(
@@ -212,7 +214,7 @@ range_filter!(
     /// (`average_word_length_filter`).
     AvgWordLengthFilter, "average_word_length_filter", "avg_word_length",
     needs: ContextNeeds::WORDS, cost: OpCost::Cheap,
-    |text, ctx| tstats::avg_word_length(ctx.words(&text))
+    |text, ctx| tstats::avg_word_length(&ctx.words(text))
 );
 
 range_filter!(
@@ -220,7 +222,7 @@ range_filter!(
     /// range (`word_entropy_filter`).
     WordEntropyFilter, "word_entropy_filter", "word_entropy",
     needs: ContextNeeds::WORDS, cost: OpCost::Moderate,
-    |text, ctx| tstats::word_entropy(ctx.words(&text))
+    |text, ctx| tstats::word_entropy(&ctx.words(text))
 );
 
 /// Keep samples whose character n-gram repetition ratio is in range
@@ -315,8 +317,7 @@ impl Filter for WordRepetitionFilter {
     }
     fn compute_stats(&self, sample: &mut Sample, ctx: &mut SampleContext) -> Result<()> {
         if !sample.has_stat("word_rep_ratio") {
-            let text = sample.text_at(&self.field).to_string();
-            let v = tstats::word_rep_ratio(ctx.words(&text), self.rep_len);
+            let v = tstats::word_rep_ratio(&ctx.words(sample.text_at(&self.field)), self.rep_len);
             sample.set_stat("word_rep_ratio", v);
         }
         Ok(())
@@ -365,8 +366,7 @@ impl Filter for StopwordsFilter {
     }
     fn compute_stats(&self, sample: &mut Sample, ctx: &mut SampleContext) -> Result<()> {
         if !sample.has_stat("stopword_ratio") {
-            let text = sample.text_at(&self.field).to_string();
-            let v = tstats::lexicon_ratio(ctx.words(&text), &self.lexicon);
+            let v = tstats::lexicon_ratio(&ctx.words(sample.text_at(&self.field)), &self.lexicon);
             sample.set_stat("stopword_ratio", v);
         }
         Ok(())
@@ -413,8 +413,7 @@ impl Filter for FlaggedWordsFilter {
     }
     fn compute_stats(&self, sample: &mut Sample, ctx: &mut SampleContext) -> Result<()> {
         if !sample.has_stat("flagged_word_ratio") {
-            let text = sample.text_at(&self.field).to_string();
-            let v = tstats::lexicon_ratio(ctx.words(&text), &self.lexicon);
+            let v = tstats::lexicon_ratio(&ctx.words(sample.text_at(&self.field)), &self.lexicon);
             sample.set_stat("flagged_word_ratio", v);
         }
         Ok(())
@@ -440,7 +439,7 @@ impl LanguageIdScoreFilter {
             field: TEXT_KEY.to_string(),
             lang: lang.to_string(),
             min_score,
-            model: Arc::new(models::default_langid().clone()),
+            model: Arc::clone(models::default_langid()),
         }
     }
 
@@ -754,8 +753,8 @@ impl Filter for ActionVerbFilter {
     }
     fn compute_stats(&self, sample: &mut Sample, ctx: &mut SampleContext) -> Result<()> {
         if !sample.has_stat("verb_noun_pairs") {
-            let text = sample.text_at(&self.field).to_string();
-            let pairs = lexicon::verb_noun_pairs(ctx.words(&text), &self.verbs, &self.nouns);
+            let words = ctx.words(sample.text_at(&self.field));
+            let pairs = lexicon::verb_noun_pairs(&words, &self.verbs, &self.nouns);
             sample.set_stat("verb_noun_pairs", pairs.len() as f64);
         }
         Ok(())

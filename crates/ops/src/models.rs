@@ -57,9 +57,9 @@ fn noisy_seed() -> Vec<String> {
 }
 
 /// Shared default language-identification model.
-pub fn default_langid() -> &'static LangIdModel {
-    static MODEL: OnceLock<LangIdModel> = OnceLock::new();
-    MODEL.get_or_init(LangIdModel::builtin)
+pub fn default_langid() -> &'static Arc<LangIdModel> {
+    static MODEL: OnceLock<Arc<LangIdModel>> = OnceLock::new();
+    MODEL.get_or_init(|| Arc::new(LangIdModel::builtin()))
 }
 
 /// Shared default perplexity model (3-gram, trained on the fluent seed).

@@ -9,47 +9,66 @@
 use dj_core::is_cjk;
 use dj_hash::{hash64, FxHashMap};
 
+use crate::stats::CharWindows;
+use crate::table::U64Table;
+
 /// A trained language-identification model.
+///
+/// The per-label log-probabilities live in one flat table: a gram maps to
+/// one row holding every label's log-probability (the label's smoothing
+/// floor where that label never saw the gram), so scoring a gram is one
+/// index lookup however many labels there are. Row 0 holds the floors and
+/// serves every gram no label saw.
 #[derive(Debug, Clone)]
 pub struct LangIdModel {
     labels: Vec<String>,
-    /// per-label: hashed n-gram → log count
-    log_probs: Vec<FxHashMap<u64, f64>>,
-    /// per-label smoothing floor
-    floors: Vec<f64>,
+    /// hashed n-gram → row of `table` (0 for unseen grams)
+    rows: U64Table,
+    /// `labels.len()` log-probabilities per row, row-major
+    table: Vec<f64>,
     priors: Vec<f64>,
 }
 
 impl LangIdModel {
     /// Train from `(label, corpus)` pairs.
     pub fn train(data: &[(&str, Vec<String>)]) -> LangIdModel {
-        let mut labels = Vec::new();
-        let mut log_probs = Vec::new();
-        let mut floors = Vec::new();
-        for (label, corpus) in data {
-            let mut counts: FxHashMap<u64, u32> = FxHashMap::default();
-            let mut total = 0u64;
-            for doc in corpus {
-                for g in char_ngrams(doc, 3) {
-                    *counts.entry(g).or_insert(0) += 1;
-                    total += 1;
+        let n_labels = data.len();
+        // Per label: gram counts and the add-one denominator.
+        let counted: Vec<(FxHashMap<u64, u32>, f64)> = data
+            .iter()
+            .map(|(_, corpus)| {
+                let mut counts: FxHashMap<u64, u32> = FxHashMap::default();
+                let mut total = 0u64;
+                for doc in corpus {
+                    char_ngrams(doc, |g| {
+                        *counts.entry(g).or_insert(0) += 1;
+                        total += 1;
+                    });
                 }
+                let denom = (total + counts.len() as u64 + 1) as f64;
+                (counts, denom)
+            })
+            .collect();
+        // Row 0: every label's floor.
+        let mut table: Vec<f64> = counted.iter().map(|(_, d)| (1.0 / d).ln()).collect();
+        let mut rows = U64Table::with_capacity(counted.iter().map(|(c, _)| c.len()).sum());
+        for (i, (counts, denom)) in counted.iter().enumerate() {
+            for (&g, &c) in counts {
+                let row = rows.slot(g);
+                if *row == 0 {
+                    *row = (table.len() / n_labels) as u32;
+                    table.extend_from_within(..n_labels);
+                }
+                table[*row as usize * n_labels + i] = ((c + 1) as f64 / denom).ln();
             }
-            let denom = (total + counts.len() as u64 + 1) as f64;
-            let lp: FxHashMap<u64, f64> = counts
-                .into_iter()
-                .map(|(g, c)| (g, ((c + 1) as f64 / denom).ln()))
-                .collect();
-            labels.push(label.to_string());
-            log_probs.push(lp);
-            floors.push((1.0 / denom).ln());
         }
+        let labels: Vec<String> = data.iter().map(|(l, _)| l.to_string()).collect();
         let prior = (1.0 / labels.len() as f64).ln();
         let priors = vec![prior; labels.len()];
         LangIdModel {
             labels,
-            log_probs,
-            floors,
+            rows,
+            table,
             priors,
         }
     }
@@ -71,20 +90,30 @@ impl LangIdModel {
     /// Classify text: returns `(label, confidence)` with confidence the
     /// softmax-normalized posterior of the winning label.
     pub fn classify(&self, text: &str) -> (String, f64) {
+        let (label, conf) = self.predict(text);
+        (label.to_string(), conf)
+    }
+
+    /// [`classify`](Self::classify) without copying the label.
+    fn predict(&self, text: &str) -> (&str, f64) {
         if text.trim().is_empty() {
-            return ("unknown".to_string(), 0.0);
+            return ("unknown", 0.0);
         }
-        // Cheap structural prior: overwhelmingly-CJK text is Chinese. This
-        // mirrors fastText's near-certain score on unambiguous scripts and
-        // keeps the n-gram model focused on the hard (latin vs code) cases.
-        let grams: Vec<u64> = char_ngrams(text, 3).collect();
+        let n_labels = self.labels.len();
         let mut scores: Vec<f64> = self.priors.clone();
-        for (i, lp) in self.log_probs.iter().enumerate() {
-            for g in &grams {
-                scores[i] += lp.get(g).copied().unwrap_or(self.floors[i]);
+        let mut grams = 0usize;
+        // Each label's score sums its per-gram terms in text order.
+        char_ngrams(text, |g| {
+            grams += 1;
+            let row = self.rows.get(g) as usize;
+            let terms = &self.table[row * n_labels..(row + 1) * n_labels];
+            for (s, t) in scores.iter_mut().zip(terms) {
+                *s += t;
             }
-            // Length-normalize so confidence is comparable across texts.
-            scores[i] /= grams.len().max(1) as f64;
+        });
+        // Length-normalize so confidence is comparable across texts.
+        for s in &mut scores {
+            *s /= grams.max(1) as f64;
         }
         let (best, &best_score) = scores
             .iter()
@@ -93,12 +122,12 @@ impl LangIdModel {
             .expect("at least one label");
         // Softmax over length-normalized log scores.
         let z: f64 = scores.iter().map(|s| (s - best_score).exp()).sum();
-        (self.labels[best].clone(), 1.0 / z)
+        (&self.labels[best], 1.0 / z)
     }
 
     /// Confidence that `text` is language `label` (0 when label unknown).
     pub fn score_for(&self, text: &str, label: &str) -> f64 {
-        let (pred, conf) = self.classify(text);
+        let (pred, conf) = self.predict(text);
         if pred == label {
             conf
         } else {
@@ -109,9 +138,11 @@ impl LangIdModel {
     }
 }
 
-/// Iterator over hashed character n-grams (orders 1..=max_order).
-fn char_ngrams(text: &str, max_order: usize) -> impl Iterator<Item = u64> + '_ {
-    let chars: Vec<char> = text
+/// Call `f` with every hashed character n-gram of `text` — orders 1, 2
+/// and 3, each in text order — after mapping whitespace to `' '` and ASCII
+/// to lowercase.
+fn char_ngrams(text: &str, mut f: impl FnMut(u64)) {
+    let norm: String = text
         .chars()
         .map(|c| {
             if c.is_whitespace() {
@@ -121,19 +152,12 @@ fn char_ngrams(text: &str, max_order: usize) -> impl Iterator<Item = u64> + '_ {
             }
         })
         .collect();
-    let mut out = Vec::with_capacity(chars.len() * max_order);
-    let mut buf = String::with_capacity(max_order * 4);
-    for order in 1..=max_order {
-        if chars.len() < order {
-            break;
-        }
-        for win in chars.windows(order) {
-            buf.clear();
-            buf.extend(win.iter());
-            out.push(hash64(buf.as_bytes()));
-        }
-    }
-    out.into_iter()
+    let windows = CharWindows::new(&norm);
+    // One call per order with a constant width, so each pass hashes
+    // fixed-length windows.
+    windows.for_each(1, |g| f(hash64(g)));
+    windows.for_each(2, |g| f(hash64(g)));
+    windows.for_each(3, |g| f(hash64(g)));
 }
 
 /// Fraction of CJK characters among non-whitespace characters.
@@ -153,7 +177,7 @@ pub fn cjk_ratio(text: &str) -> f64 {
     }
 }
 
-const SEED_EN: &[&str] = &[
+pub(crate) const SEED_EN: &[&str] = &[
     "the quick brown fox jumps over the lazy dog and runs through the field",
     "language models are trained on large collections of text from the web",
     "we present a system for processing data with composable operators",
@@ -166,7 +190,7 @@ const SEED_EN: &[&str] = &[
     "please read the following instructions carefully before you begin the test",
 ];
 
-const SEED_ZH: &[&str] = &[
+pub(crate) const SEED_ZH: &[&str] = &[
     "大型语言模型的训练需要大量高质量的文本数据",
     "我们提出了一个用于数据处理的系统",
     "这篇论文介绍了一种新的方法来提高模型性能",
@@ -179,7 +203,7 @@ const SEED_ZH: &[&str] = &[
     "数据质量对模型的最终效果有直接影响",
 ];
 
-const SEED_CODE: &[&str] = &[
+pub(crate) const SEED_CODE: &[&str] = &[
     "def process(self, sample): return {k: v for k, v in sample.items()}",
     "fn main() { let mut x = Vec::new(); x.push(1); println!(\"{:?}\", x); }",
     "for (int i = 0; i < n; i++) { sum += arr[i] * arr[i]; }",

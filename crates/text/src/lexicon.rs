@@ -5,7 +5,11 @@
 //! drive; we embed compact, synthetic-corpus-matched lists. All functions
 //! return owned `FxHashSet`s so callers can extend them with user resources.
 
+use std::borrow::Cow;
+
 use dj_hash::FxHashSet;
+
+use crate::stats::lowercase;
 
 /// English stopwords (fluent text has a healthy fraction of these).
 pub fn english_stopwords() -> FxHashSet<String> {
@@ -152,17 +156,17 @@ fn to_set(words: &[&str]) -> FxHashSet<String> {
 /// within 4 words by a lexicon noun. A cheap stand-in for dependency
 /// parsing that drives the same diversity statistics.
 pub fn verb_noun_pairs(
-    words: &[String],
+    words: &[&str],
     verbs: &FxHashSet<String>,
     nouns: &FxHashSet<String>,
 ) -> Vec<(String, String)> {
-    let lowered: Vec<String> = words.iter().map(|w| w.to_lowercase()).collect();
+    let lowered: Vec<Cow<str>> = words.iter().map(|w| lowercase(w)).collect();
     let mut pairs = Vec::new();
     for (i, w) in lowered.iter().enumerate() {
-        if verbs.contains(w) {
+        if verbs.contains(w.as_ref()) {
             for obj in lowered.iter().skip(i + 1).take(4) {
-                if nouns.contains(obj) {
-                    pairs.push((w.clone(), obj.clone()));
+                if nouns.contains(obj.as_ref()) {
+                    pairs.push((w.to_string(), obj.to_string()));
                     break;
                 }
             }
@@ -174,7 +178,10 @@ pub fn verb_noun_pairs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dj_core::segment_words;
+
+    fn words_of(text: &str) -> Vec<&str> {
+        dj_core::word_spans(text).map(|r| &text[r]).collect()
+    }
 
     #[test]
     fn lexicons_nonempty_and_lowercase() {
@@ -191,7 +198,7 @@ mod tests {
 
     #[test]
     fn verb_noun_extraction() {
-        let words = segment_words("Write a short story about dragons and explain the plan");
+        let words = words_of("Write a short story about dragons and explain the plan");
         let pairs = verb_noun_pairs(&words, &common_verbs(), &common_nouns());
         assert!(pairs.contains(&("write".into(), "story".into())));
         assert!(pairs.contains(&("explain".into(), "plan".into())));
@@ -199,7 +206,7 @@ mod tests {
 
     #[test]
     fn verb_without_object_is_skipped() {
-        let words = segment_words("write about nothing in particular today friends");
+        let words = words_of("write about nothing in particular today friends");
         let pairs = verb_noun_pairs(&words, &common_verbs(), &common_nouns());
         assert!(pairs.is_empty());
     }
@@ -207,7 +214,7 @@ mod tests {
     #[test]
     fn object_window_is_limited() {
         // noun appears 6 words after verb → outside the 4-word window.
-        let words = segment_words("write one two three four five story");
+        let words = words_of("write one two three four five story");
         let pairs = verb_noun_pairs(&words, &common_verbs(), &common_nouns());
         assert!(pairs.is_empty());
     }

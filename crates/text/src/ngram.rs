@@ -7,8 +7,10 @@
 //! text scores high — is what the filter thresholds rely on, and that is
 //! preserved (verified by tests on clean vs. scrambled text).
 
-use dj_core::segment_words;
+use dj_core::word_spans;
 use dj_hash::{hash64, FxHashMap};
+
+use crate::stats::lowercase;
 
 /// Interpolated n-gram LM over hashed word contexts.
 #[derive(Debug, Clone)]
@@ -32,22 +34,10 @@ impl NgramModel {
         assert!(order >= 1, "order must be >= 1");
         let mut counts = vec![FxHashMap::default(); order];
         let mut context_counts = vec![FxHashMap::default(); order];
-        let mut vocab = dj_hash::FxHashSet::default();
+        let mut vocab: dj_hash::FxHashSet<u64> = dj_hash::FxHashSet::default();
         for doc in corpus {
-            let mut words: Vec<String> = Vec::with_capacity(32);
-            for _ in 0..order - 1 {
-                words.push(BOS.to_string());
-            }
-            words.extend(
-                segment_words(doc.as_ref())
-                    .into_iter()
-                    .map(|w| w.to_lowercase()),
-            );
-            for w in &words {
-                if w != BOS {
-                    vocab.insert(hash64(w.as_bytes()));
-                }
-            }
+            let words = word_hashes(doc.as_ref(), order);
+            vocab.extend(&words[order - 1..]);
             for k in 0..order {
                 let n = k + 1;
                 if words.len() < n {
@@ -79,8 +69,9 @@ impl NgramModel {
         self.vocab_size
     }
 
-    /// Smoothed probability of `word` following `context` at a given order.
-    fn order_prob(&self, k: usize, window: &[String]) -> f64 {
+    /// Smoothed probability of the window's last word following the rest,
+    /// at a given order. `window` holds word hashes.
+    fn order_prob(&self, k: usize, window: &[u64]) -> f64 {
         let n = k + 1;
         let gram = gram_key(&window[window.len() - n..]);
         let ctx = gram_key(&window[window.len() - n..window.len() - 1]);
@@ -90,7 +81,7 @@ impl NgramModel {
     }
 
     /// Interpolated log2-probability of one word given its full context.
-    fn word_log2p(&self, window: &[String]) -> f64 {
+    fn word_log2p(&self, window: &[u64]) -> f64 {
         let mut p = 0.0;
         let mut weight = 1.0;
         for k in (0..self.order).rev() {
@@ -104,18 +95,10 @@ impl NgramModel {
     /// Per-word perplexity of `text` under the model. Empty text returns
     /// `f64::INFINITY` so filters treat it as maximally surprising.
     pub fn perplexity(&self, text: &str) -> f64 {
-        let mut words: Vec<String> = Vec::with_capacity(32);
-        for _ in 0..self.order - 1 {
-            words.push(BOS.to_string());
-        }
-        let body: Vec<String> = segment_words(text)
-            .into_iter()
-            .map(|w| w.to_lowercase())
-            .collect();
-        if body.is_empty() {
+        let words = word_hashes(text, self.order);
+        if words.len() == self.order - 1 {
             return f64::INFINITY;
         }
-        words.extend(body);
         let n_scored = words.len() - (self.order - 1);
         let mut log2p = 0.0;
         for i in self.order - 1..words.len() {
@@ -126,10 +109,19 @@ impl NgramModel {
     }
 }
 
-fn gram_key(words: &[String]) -> u64 {
+/// `order - 1` BOS markers followed by the lowercased words of `text`,
+/// each hashed once.
+fn word_hashes(text: &str, order: usize) -> Vec<u64> {
+    let mut hashes = vec![hash64(BOS.as_bytes()); order - 1];
+    hashes.extend(word_spans(text).map(|r| hash64(lowercase(&text[r]).as_bytes())));
+    hashes
+}
+
+/// Key of a word n-gram, folded from its word hashes.
+fn gram_key(hashes: &[u64]) -> u64 {
     let mut key = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        key = key.rotate_left(13).wrapping_mul(0x0100_0000_01b3) ^ hash64(w.as_bytes());
+    for &h in hashes {
+        key = key.rotate_left(13).wrapping_mul(0x0100_0000_01b3) ^ h;
     }
     key
 }

@@ -3,8 +3,12 @@
 //! covers 13 dimensions ... sample perplexity, word count, flagged word
 //! percentage, and paragraph length, among others").
 
-use dj_core::segment_words;
+use std::borrow::Cow;
+
+use dj_core::word_spans;
 use dj_hash::{FxHashMap, FxHashSet};
+
+use crate::table::U64Table;
 
 /// Ratio of alphanumeric characters to all characters (0 for empty text).
 pub fn alnum_ratio(text: &str) -> f64 {
@@ -87,29 +91,76 @@ fn ratio(text: &str, pred: impl Fn(char) -> bool) -> f64 {
 /// belonging to n-grams that appear more than once. High values indicate
 /// boilerplate/spam (mirrors `character_repetition_filter`).
 pub fn char_rep_ratio(text: &str, n: usize) -> f64 {
-    let chars: Vec<char> = text.chars().collect();
-    if chars.len() < n || n == 0 {
+    let windows = CharWindows::new(text);
+    if windows.chars() < n || n == 0 {
         return 0.0;
     }
-    let mut counts: FxHashMap<u64, u32> = FxHashMap::default();
-    let mut buf = String::with_capacity(n * 4);
-    for win in chars.windows(n) {
-        buf.clear();
-        buf.extend(win.iter());
-        *counts.entry(dj_hash::hash64(buf.as_bytes())).or_insert(0) += 1;
-    }
-    let total: u64 = counts.values().map(|&c| c as u64).sum();
-    let repeated: u64 = counts.values().filter(|&&c| c > 1).map(|&c| c as u64).sum();
+    let total = windows.chars() + 1 - n;
+    let mut counts = U64Table::with_capacity(total);
+    windows.for_each(n, |gram| *counts.slot(dj_hash::hash64(gram)) += 1);
+    repeated_share(&counts, total)
+}
+
+/// Share of the `total` counted occurrences whose key occurs more than once.
+fn repeated_share(counts: &U64Table, total: usize) -> f64 {
+    let repeated: u64 = counts.values().filter(|&c| c > 1).map(u64::from).sum();
     repeated as f64 / total as f64
+}
+
+/// Windows of `n` consecutive characters of a text, handed out as byte
+/// slices of the text itself: the bytes of each window are exactly the
+/// UTF-8 of those characters, so hashing a slice equals hashing a `String`
+/// built from the window. ASCII text needs no char boundary table.
+pub(crate) struct CharWindows<'a> {
+    text: &'a str,
+    /// Byte offset of every char plus the end; `None` for ASCII text.
+    bounds: Option<Vec<usize>>,
+}
+
+impl<'a> CharWindows<'a> {
+    pub(crate) fn new(text: &'a str) -> CharWindows<'a> {
+        let bounds = (!text.is_ascii()).then(|| {
+            text.char_indices()
+                .map(|(i, _)| i)
+                .chain(std::iter::once(text.len()))
+                .collect()
+        });
+        CharWindows { text, bounds }
+    }
+
+    /// Number of characters in the text.
+    pub(crate) fn chars(&self) -> usize {
+        self.bounds
+            .as_ref()
+            .map_or(self.text.len(), |b| b.len() - 1)
+    }
+
+    /// Call `f` on every window of `n` characters, in text order.
+    #[inline]
+    pub(crate) fn for_each(&self, n: usize, mut f: impl FnMut(&'a [u8])) {
+        let bytes = self.text.as_bytes();
+        if n == 0 || self.chars() < n {
+            return;
+        }
+        match &self.bounds {
+            None => bytes.windows(n).for_each(f),
+            Some(b) => {
+                for i in 0..b.len() - n {
+                    f(&bytes[b[i]..b[i + n]]);
+                }
+            }
+        }
+    }
 }
 
 /// Word-level n-gram repetition ratio (mirrors `word_repetition_filter`,
 /// the `rep_len` parameter of the paper's Fig. 5 recipe).
-pub fn word_rep_ratio(words: &[String], n: usize) -> f64 {
+pub fn word_rep_ratio(words: &[&str], n: usize) -> f64 {
     if words.len() < n || n == 0 {
         return 0.0;
     }
-    let mut counts: FxHashMap<u64, u32> = FxHashMap::default();
+    let total = words.len() + 1 - n;
+    let mut counts = U64Table::with_capacity(total);
     let mut buf = String::new();
     for win in words.windows(n) {
         buf.clear();
@@ -117,11 +168,9 @@ pub fn word_rep_ratio(words: &[String], n: usize) -> f64 {
             buf.push_str(w);
             buf.push('\u{1}');
         }
-        *counts.entry(dj_hash::hash64(buf.as_bytes())).or_insert(0) += 1;
+        *counts.slot(dj_hash::hash64(buf.as_bytes())) += 1;
     }
-    let total: u64 = counts.values().map(|&c| c as u64).sum();
-    let repeated: u64 = counts.values().filter(|&&c| c > 1).map(|&c| c as u64).sum();
-    repeated as f64 / total as f64
+    repeated_share(&counts, total)
 }
 
 /// Mean line length in characters (0 for empty text).
@@ -138,7 +187,7 @@ pub fn max_line_length(lines: &[String]) -> f64 {
 }
 
 /// Mean word length in characters.
-pub fn avg_word_length(words: &[String]) -> f64 {
+pub fn avg_word_length(words: &[&str]) -> f64 {
     if words.is_empty() {
         return 0.0;
     }
@@ -148,15 +197,28 @@ pub fn avg_word_length(words: &[String]) -> f64 {
 /// Fraction of words found in `lexicon` (case-insensitive). Backs both the
 /// stopword-ratio filter (fluency signal) and the flagged-words filter
 /// (toxicity signal).
-pub fn lexicon_ratio(words: &[String], lexicon: &FxHashSet<String>) -> f64 {
+pub fn lexicon_ratio(words: &[&str], lexicon: &FxHashSet<String>) -> f64 {
     if words.is_empty() {
         return 0.0;
     }
     let hits = words
         .iter()
-        .filter(|w| lexicon.contains(&w.to_lowercase()))
+        .filter(|w| lexicon.contains(lowercase(w).as_ref()))
         .count();
     hits as f64 / words.len() as f64
+}
+
+/// `word.to_lowercase()`, borrowing when that would be a copy: a word with
+/// no uppercase ASCII and no non-ASCII byte is already lowercase.
+pub(crate) fn lowercase(word: &str) -> Cow<'_, str> {
+    if word
+        .bytes()
+        .any(|b| b.is_ascii_uppercase() || !b.is_ascii())
+    {
+        Cow::Owned(word.to_lowercase())
+    } else {
+        Cow::Borrowed(word)
+    }
 }
 
 /// Count of paragraphs (blank-line separated blocks).
@@ -166,13 +228,13 @@ pub fn paragraph_count(text: &str) -> usize {
 
 /// Shannon entropy (bits) of the word distribution — the analyzer's
 /// linguistic-diversity dimension.
-pub fn word_entropy(words: &[String]) -> f64 {
+pub fn word_entropy(words: &[&str]) -> f64 {
     if words.is_empty() {
         return 0.0;
     }
     let mut counts: FxHashMap<&str, u32> = FxHashMap::default();
     for w in words {
-        *counts.entry(w.as_str()).or_insert(0) += 1;
+        *counts.entry(*w).or_insert(0) += 1;
     }
     let n = words.len() as f64;
     -counts
@@ -186,15 +248,15 @@ pub fn word_entropy(words: &[String]) -> f64 {
 
 /// Convenience: word count of raw text.
 pub fn word_count(text: &str) -> usize {
-    segment_words(text).len()
+    word_spans(text).count()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn w(s: &str) -> Vec<String> {
-        segment_words(s)
+    fn w(s: &str) -> Vec<&str> {
+        word_spans(s).map(|r| &s[r]).collect()
     }
 
     #[test]

@@ -173,6 +173,36 @@ fn fail_policy_stops_on_the_first_malformed_record() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A record nested a million levels deep is a parse error like any other
+/// malformed line: quarantined, while the rest of the run completes.
+#[test]
+fn hostile_nesting_is_quarantined_and_the_run_finishes() {
+    let dir = fresh_dir("deep");
+    let input = dir.join("deep.jsonl");
+    let mut text = String::new();
+    for i in 0..6 {
+        text.push_str(&format!("{{\"text\":\"good sample {i}\"}}\n"));
+    }
+    text.push_str("{\"text\":");
+    text.push_str(&"[".repeat(1_000_000));
+    text.push('\n');
+    for i in 6..12 {
+        text.push_str(&format!("{{\"text\":\"good sample {i}\"}}\n"));
+    }
+    std::fs::write(&input, text).unwrap();
+    let out = dir.join("out");
+
+    let (_, report) = exec_with(OnError::Quarantine, 0.5, &input, &out)
+        .run_io()
+        .unwrap();
+    assert_eq!(report.records_quarantined, 1, "{report:?}");
+    assert_eq!(report.final_samples, 12);
+    let entries = read_quarantine(&out.join(QUARANTINE_FILE)).unwrap();
+    assert_eq!(entries.len(), 1);
+    assert!(entries[0].source.contains("deep.jsonl:7"), "{entries:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn recipe_wires_the_policy_through_to_the_executor() {
     use data_juicer::config::{OpSpec, Recipe};
