@@ -116,7 +116,8 @@ impl RedPajamaStyle {
                 let mut nd = d.clone();
                 let t = normalize::normalize_whitespace(
                     d.get("text").map(String::as_str).unwrap_or(""),
-                );
+                )
+                .into_owned();
                 nd.insert("text".into(), t);
                 nd
             })
@@ -129,7 +130,8 @@ impl RedPajamaStyle {
             .iter()
             .map(|d| {
                 let mut nd = d.clone();
-                let t = normalize::remove_links(d.get("text").map(String::as_str).unwrap_or(""));
+                let t = normalize::remove_links(d.get("text").map(String::as_str).unwrap_or(""))
+                    .into_owned();
                 nd.insert("text".into(), t);
                 nd
             })
@@ -221,7 +223,10 @@ impl DolmaStyle {
                 .map(|d| {
                     let t = d
                         .get("text")
-                        .map(|s| normalize::normalize_whitespace(&normalize::remove_links(s)))
+                        .map(|s| {
+                            normalize::normalize_whitespace(&normalize::remove_links(s))
+                                .into_owned()
+                        })
                         .unwrap_or_default();
                     let mut a = HashMap::new();
                     a.insert("len".to_string(), t.chars().count() as f64);
@@ -272,7 +277,7 @@ impl DolmaStyle {
                 let t = nd.get("text").cloned().unwrap_or_default();
                 nd.insert(
                     "text".into(),
-                    normalize::normalize_whitespace(&normalize::remove_links(&t)),
+                    normalize::normalize_whitespace(&normalize::remove_links(&t)).into_owned(),
                 );
                 kept.push(nd);
             }

@@ -28,7 +28,9 @@ impl Hasher for FxHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for c in &mut chunks {
-            self.add_to_hash(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+            let mut word = [0u8; 8];
+            word.copy_from_slice(c);
+            self.add_to_hash(u64::from_le_bytes(word));
         }
         let rem = chunks.remainder();
         if !rem.is_empty() {

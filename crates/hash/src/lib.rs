@@ -7,7 +7,9 @@
 //!   `FxHashMap`/`FxHashSet` aliases (the perf-book recommendation for
 //!   hot, HashDoS-immune hash tables);
 //! * [`minhash`] — min-wise independent permutations + LSH banding
-//!   (hash-based near-dedup);
+//!   (hash-based near-dedup); the per-seed minimum fold runs on AVX-512 or
+//!   AVX2 when the CPU has it, picked at run time with no knob, and the
+//!   scalar fallback gives bit-identical signatures;
 //! * [`simhash`] — Charikar fingerprints + Hamming-budget index
 //!   (vector-based near-dedup);
 //! * [`unionfind`] — duplicate-pair clustering with deterministic
@@ -19,9 +21,15 @@
 //! worker pool while staying pair-for-pair identical to the sequential
 //! indexes.
 
+// Panic-on-error is banned in library code: every unwrap/expect outside
+// tests is restructured away.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod fnv;
 pub mod fxhash;
 pub mod minhash;
+#[cfg(test)]
+mod oracle;
 pub mod simhash;
 pub mod unionfind;
 

@@ -10,14 +10,24 @@
 //! For sub-quadratic candidate generation, signatures are cut into `b` bands
 //! of `r` rows (`k = b*r`); documents sharing any banded sub-signature become
 //! candidates (classic LSH banding).
+//!
+//! A signature is computed in two steps: each shingle is hashed once to a
+//! base hash, then one fold takes, for every seed, the minimum of
+//! `remix(base, seed)` over all bases. The fold is a single generic body
+//! compiled three times — for AVX-512 (F, DQ, VL), for AVX2 and for the
+//! baseline target — and the CPU's features, detected at run time, pick
+//! the widest copy it can run. There is no option for this: `min` over
+//! `u64` is exact and order-free, so every copy, the scalar fallback on
+//! other CPUs included, gives bit-identical signatures (property-tested
+//! against the earlier per-shingle loop).
 
 use crate::fxhash::{hash64_seeded, FxHashMap};
 
 /// MinHash signature generator with a fixed family of hash functions.
 #[derive(Debug, Clone)]
 pub struct MinHasher {
-    seeds: Vec<u64>,
-    shingle_size: usize,
+    pub(crate) seeds: Vec<u64>,
+    pub(crate) shingle_size: usize,
 }
 
 impl MinHasher {
@@ -56,25 +66,23 @@ impl MinHasher {
         }
         let n = self.shingle_size.min(tokens.len());
         let mut shingle = String::new();
-        for window in tokens.windows(n) {
-            shingle.clear();
-            for (i, t) in window.iter().enumerate() {
-                if i > 0 {
-                    shingle.push('\u{1}'); // unambiguous token separator
+        // One base hash per shingle, remixed per seed below: much cheaper
+        // than rehashing the string k times and statistically equivalent
+        // for dedup purposes.
+        let bases: Vec<u64> = tokens
+            .windows(n)
+            .map(|window| {
+                shingle.clear();
+                for (i, t) in window.iter().enumerate() {
+                    if i > 0 {
+                        shingle.push('\u{1}'); // unambiguous token separator
+                    }
+                    shingle.push_str(t.as_ref());
                 }
-                shingle.push_str(t.as_ref());
-            }
-            // One base hash per shingle, remixed per seed: much cheaper than
-            // rehashing the string k times and statistically equivalent for
-            // dedup purposes.
-            let base = hash64_seeded(shingle.as_bytes(), 0);
-            for (slot, &seed) in sig.iter_mut().zip(&self.seeds) {
-                let h = remix(base, seed);
-                if h < *slot {
-                    *slot = h;
-                }
-            }
-        }
+                hash64_seeded(shingle.as_bytes(), 0)
+            })
+            .collect();
+        min_remix(FoldIsa::Avx512, &self.seeds, &bases, &mut sig);
         sig
     }
 
@@ -89,8 +97,79 @@ impl MinHasher {
     }
 }
 
-#[inline]
-fn remix(base: u64, seed: u64) -> u64 {
+/// The instruction sets the fold has a copy for, widest first. Signatures
+/// always ask for the widest; tests force the narrower copies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(not(test), allow(dead_code))]
+pub(crate) enum FoldIsa {
+    Avx512,
+    Avx2,
+    Scalar,
+}
+
+/// `sig[j] = min(sig[j], min over bases of remix(base, seeds[j]))`, on the
+/// widest vector unit the CPU has, no wider than `widest`. The fold is one
+/// body compiled three times; `min` is exact and order-free, so every copy
+/// gives the same bits.
+pub(crate) fn min_remix(widest: FoldIsa, seeds: &[u64], bases: &[u64], sig: &mut [u64]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::is_x86_feature_detected as has;
+        if widest == FoldIsa::Avx512 && has!("avx512f") && has!("avx512dq") && has!("avx512vl") {
+            // SAFETY: the CPU has every feature `min_remix_avx512` enables.
+            return unsafe { min_remix_avx512(seeds, bases, sig) };
+        }
+        if widest != FoldIsa::Scalar && has!("avx2") {
+            // SAFETY: the CPU has every feature `min_remix_avx2` enables.
+            return unsafe { min_remix_avx2(seeds, bases, sig) };
+        }
+    }
+    min_remix_body(seeds, bases, sig)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn min_remix_avx512(seeds: &[u64], bases: &[u64], sig: &mut [u64]) {
+    min_remix_body(seeds, bases, sig)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn min_remix_avx2(seeds: &[u64], bases: &[u64], sig: &mut [u64]) {
+    min_remix_body(seeds, bases, sig)
+}
+
+/// Seeds per block: one 512-bit register of `u64` lanes.
+const LANES: usize = 8;
+
+/// The fold over blocks of `LANES` seeds: fixed-size arrays let the
+/// compiler keep a block's minima in vector registers across all bases.
+#[inline(always)]
+fn min_remix_body(seeds: &[u64], bases: &[u64], sig: &mut [u64]) {
+    let mut seed_blocks = seeds.chunks_exact(LANES);
+    let mut sig_blocks = sig.chunks_exact_mut(LANES);
+    for (slots, block) in (&mut sig_blocks).zip(&mut seed_blocks) {
+        let mut lane_seeds = [0u64; LANES];
+        lane_seeds.copy_from_slice(block);
+        let mut acc = [0u64; LANES];
+        acc.copy_from_slice(slots);
+        for &base in bases {
+            for (a, &seed) in acc.iter_mut().zip(&lane_seeds) {
+                *a = (*a).min(remix(base, seed));
+            }
+        }
+        slots.copy_from_slice(&acc);
+    }
+    let tail = sig_blocks.into_remainder().iter_mut();
+    for (slot, &seed) in tail.zip(seed_blocks.remainder()) {
+        *slot = bases
+            .iter()
+            .fold(*slot, |m, &base| m.min(remix(base, seed)));
+    }
+}
+
+#[inline(always)]
+pub(crate) fn remix(base: u64, seed: u64) -> u64 {
     let mut z = base ^ seed;
     z = (z ^ (z >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
     z = (z ^ (z >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);

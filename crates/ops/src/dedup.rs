@@ -138,19 +138,24 @@ impl MinHashDeduplicator {
                 "minhash: bands, rows and shingle_size must be positive".into(),
             ));
         }
-        Ok(MinHashDeduplicator {
+        Ok(Self::checked(jaccard_threshold, bands, rows, shingle_size))
+    }
+
+    /// The paper-style default: threshold 0.7, 16 bands × 8 rows, 5-shingles.
+    pub fn default_config() -> Self {
+        Self::checked(0.7, 16, 8, 5)
+    }
+
+    /// Build from parameters [`new`](Self::new) has validated.
+    fn checked(jaccard_threshold: f64, bands: usize, rows: usize, shingle_size: usize) -> Self {
+        MinHashDeduplicator {
             field: TEXT_KEY.to_string(),
             jaccard_threshold,
             bands,
             rows,
             shingle_size,
             hasher: MinHasher::new(bands * rows, shingle_size),
-        })
-    }
-
-    /// The paper-style default: threshold 0.7, 16 bands × 8 rows, 5-shingles.
-    pub fn default_config() -> Self {
-        Self::new(0.7, 16, 8, 5).expect("valid defaults")
+        }
     }
 }
 
@@ -189,6 +194,20 @@ impl Deduplicator for MinHashDeduplicator {
             .iter()
             .map(|h| signature(h, self.name()))
             .collect::<Result<_>>()?;
+        // Signatures can come off disk (fingerprint sidecars): the banding
+        // below needs exactly `bands × rows` components in each.
+        let width = self.bands * self.rows;
+        if let Some(bad) = sigs.iter().find(|sig| sig.len() != width) {
+            return Err(DjError::op(
+                self.name(),
+                format!(
+                    "signature has {} components, expected {} bands × {} rows = {width}",
+                    bad.len(),
+                    self.bands,
+                    self.rows
+                ),
+            ));
+        }
         Ok(ParallelDedup::new(num_workers).minhash_mask(
             &sigs,
             self.bands,
@@ -452,6 +471,33 @@ mod tests {
         assert_eq!(removed, 1);
         assert_eq!(out.len(), 2);
         assert_eq!(out.get(0).unwrap().text(), base);
+    }
+
+    #[test]
+    fn wrong_length_signatures_are_an_error_not_a_panic() {
+        let dedup = MinHashDeduplicator::default_config();
+        let short = vec![Value::List(vec![Value::Int(1)]); 2];
+        for workers in [1, 2] {
+            let err = dedup.keep_mask_parallel(2, &short, workers).unwrap_err();
+            assert!(
+                err.to_string().contains("expected 16 bands × 8 rows = 128"),
+                "workers={workers}: {err}"
+            );
+        }
+        // One good signature next to one bad one is still refused.
+        let mut ctx = SampleContext::new();
+        let good = dedup
+            .compute_hash(&Sample::from_text(LONG_BASE), &mut ctx)
+            .unwrap();
+        let mixed = vec![good.clone(), Value::List(vec![Value::Int(1); 129])];
+        for workers in [1, 2] {
+            assert!(dedup.keep_mask_parallel(2, &mixed, workers).is_err());
+        }
+        let fine = vec![good.clone(), good];
+        assert_eq!(
+            dedup.keep_mask_parallel(2, &fine, 2).unwrap(),
+            vec![true, false]
+        );
     }
 
     #[test]

@@ -12,6 +12,10 @@
 //! * [`registry`] — the name → factory table recipes resolve against;
 //! * [`models`] — shared lazily-trained default auxiliary models.
 
+// Panic-on-error is banned in library code: every unwrap/expect outside
+// tests is restructured away.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod dedup;
 pub mod filters;
 pub mod formatters;

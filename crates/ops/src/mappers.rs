@@ -6,6 +6,8 @@
 //! text (so the executor can invalidate the sample context), and registers
 //! a factory in [`crate::registry`].
 
+use std::borrow::Cow;
+
 use dj_core::{
     ContextNeeds, DjError, FieldSet, Mapper, OpCost, Result, Sample, SampleContext, TEXT_KEY,
 };
@@ -26,13 +28,19 @@ macro_rules! field_footprint {
 }
 
 /// Shared plumbing: read the configured field, transform, write back.
-/// Returns whether the text changed.
-fn edit_field(sample: &mut Sample, field: &str, f: impl FnOnce(&str) -> String) -> Result<bool> {
-    let old = sample.text_at(field).to_string();
-    let new = f(&old);
-    if new == old {
-        return Ok(false);
-    }
+/// `f` returns `Borrowed` when it leaves the text as it is, so the common
+/// no-edit case copies nothing; an `Owned` result equal to the old text
+/// also counts as unchanged. Returns whether the text changed.
+fn edit_field(
+    sample: &mut Sample,
+    field: &str,
+    f: impl FnOnce(&str) -> Cow<'_, str>,
+) -> Result<bool> {
+    let old = sample.text_at(field);
+    let new = match f(old) {
+        Cow::Owned(new) if new != old => new,
+        _ => return Ok(false),
+    };
     sample.set_text_at(field, new)?;
     Ok(true)
 }
@@ -67,7 +75,7 @@ macro_rules! simple_mapper {
             }
 
             fn process(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<bool> {
-                edit_field(sample, &self.field, $func)
+                edit_field(sample, &self.field, |t| Cow::from(($func)(t)))
             }
 
             field_footprint!();
@@ -180,17 +188,8 @@ impl Mapper for RemoveLongWordsMapper {
     }
 
     fn process(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<bool> {
-        let max = self.max_len;
         edit_field(sample, &self.field, |t| {
-            t.split('\n')
-                .map(|line| {
-                    line.split(' ')
-                        .filter(|w| w.chars().count() <= max)
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                })
-                .collect::<Vec<_>>()
-                .join("\n")
+            normalize::remove_long_words(t, self.max_len)
         })
     }
 }
@@ -220,7 +219,7 @@ impl Mapper for RemoveSpecificCharsMapper {
 
     fn process(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<bool> {
         edit_field(sample, &self.field, |t| {
-            t.chars().filter(|c| !self.chars.contains(c)).collect()
+            Cow::Owned(t.chars().filter(|c| !self.chars.contains(c)).collect())
         })
     }
 }
@@ -256,8 +255,8 @@ impl Mapper for RemoveBibliographyMapper {
             ];
             let cut = MARKERS.iter().filter_map(|m| t.find(m)).min();
             match cut {
-                Some(pos) => t[..pos].trim_end().to_string(),
-                None => t.to_string(),
+                Some(pos) => Cow::Owned(t[..pos].trim_end().to_string()),
+                None => Cow::Borrowed(t),
             }
         })
     }
@@ -289,14 +288,16 @@ impl Mapper for RemoveTableTextMapper {
 
     fn process(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<bool> {
         edit_field(sample, &self.field, |t| {
-            t.split('\n')
-                .filter(|line| {
-                    let pipes = line.matches('|').count();
-                    let dashes = line.matches("--").count();
-                    pipes < 3 && dashes < 3
-                })
-                .collect::<Vec<_>>()
-                .join("\n")
+            Cow::Owned(
+                t.split('\n')
+                    .filter(|line| {
+                        let pipes = line.matches('|').count();
+                        let dashes = line.matches("--").count();
+                        pipes < 3 && dashes < 3
+                    })
+                    .collect::<Vec<_>>()
+                    .join("\n"),
+            )
         })
     }
 }
@@ -370,11 +371,9 @@ impl Mapper for TextTruncateMapper {
 
     fn process(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<bool> {
         let max = self.max_chars;
-        edit_field(sample, &self.field, |t| {
-            t.char_indices()
-                .nth(max)
-                .map(|(byte, _)| t[..byte].to_string())
-                .unwrap_or_else(|| t.to_string())
+        edit_field(sample, &self.field, |t| match t.char_indices().nth(max) {
+            Some((byte, _)) => Cow::Owned(t[..byte].to_string()),
+            None => Cow::Borrowed(t),
         })
     }
 }
@@ -410,7 +409,7 @@ impl Mapper for ReplaceContentMapper {
 
     fn process(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<bool> {
         edit_field(sample, &self.field, |t| {
-            t.replace(&self.pattern, &self.replacement)
+            Cow::Owned(t.replace(&self.pattern, &self.replacement))
         })
     }
 }
@@ -511,7 +510,7 @@ impl Mapper for ExpandMacroMapper {
             for (name, body) in &macros {
                 out = out.replace(name.as_str(), body);
             }
-            out
+            Cow::Owned(out)
         })
     }
 }
@@ -534,6 +533,39 @@ mod tests {
         assert!(changed);
         let (_, changed2) = run(&WhitespaceNormalizationMapper::new(), "clean");
         assert!(!changed2);
+    }
+
+    #[test]
+    fn changed_means_the_text_differs() {
+        let mappers: Vec<Box<dyn Mapper>> = vec![
+            Box::new(FixUnicodeMapper::new()),
+            Box::new(PunctuationNormalizationMapper::new()),
+            Box::new(CleanHtmlMapper::new()),
+            Box::new(CleanLinksMapper::new()),
+            Box::new(CleanEmailMapper::new()),
+            Box::new(CleanIpMapper::new()),
+            Box::new(WhitespaceNormalizationMapper::new()),
+            Box::new(RemoveLongWordsMapper::new(5)),
+            // Rebuilds the text even when nothing is removed.
+            Box::new(RemoveSpecificCharsMapper::new("◆")),
+            Box::new(LowercaseMapper::new()),
+        ];
+        for text in [
+            "plain words",
+            "",
+            "a  b",
+            "<b>x</b> &amp; y",
+            "&unknown; stays",
+            "see www.a.b or 10.0.0.1 or me@a.bc",
+            "donâ€™t “quote”",
+            "looooooong word",
+            "UPPER ◆",
+        ] {
+            for m in &mappers {
+                let (out, changed) = run(m.as_ref(), text);
+                assert_eq!(changed, out != text, "{} on {text:?}", m.name());
+            }
+        }
     }
 
     #[test]
@@ -747,7 +779,7 @@ impl Mapper for TextAugmentMapper {
         edit_field(sample, &self.field, |t| {
             let words: Vec<&str> = t.split(' ').collect();
             if words.iter().filter(|w| !w.is_empty()).count() < min_words {
-                return t.to_string();
+                return Cow::Borrowed(t);
             }
             let mut out: Vec<String> = Vec::with_capacity(words.len());
             for w in words {
@@ -763,7 +795,7 @@ impl Mapper for TextAugmentMapper {
                 }
                 out.push(w.to_string());
             }
-            out.join(" ")
+            Cow::Owned(out.join(" "))
         })
     }
 }
@@ -806,10 +838,12 @@ impl Mapper for CleanCopyrightMapper {
 
     fn process(&self, sample: &mut Sample, _ctx: &mut SampleContext) -> Result<bool> {
         edit_field(sample, &self.field, |t| {
-            t.split('\n')
-                .filter(|line| !Self::is_copyright_line(line))
-                .collect::<Vec<_>>()
-                .join("\n")
+            Cow::Owned(
+                t.split('\n')
+                    .filter(|line| !Self::is_copyright_line(line))
+                    .collect::<Vec<_>>()
+                    .join("\n"),
+            )
         })
     }
 }

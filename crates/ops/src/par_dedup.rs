@@ -173,7 +173,7 @@ impl ParallelDedup {
         // range c is smaller than any index in range c+1, so the first
         // insertion per key is the global minimum.
         let mut maps = maps.into_iter();
-        let mut winner: FxHashMap<(i64, i64), u32> = maps.next().expect("parts >= 1");
+        let mut winner: FxHashMap<(i64, i64), u32> = maps.next().unwrap_or_default();
         for m in maps {
             for (k, i) in m {
                 winner.entry(k).or_insert(i);
@@ -237,7 +237,7 @@ impl ParallelDedup {
         // Merge in ascending range order: first insertion per key wins,
         // which is the global minimum sample index.
         let mut maps = maps.into_iter();
-        let mut owner: FxHashMap<i64, u32> = maps.next().expect("parts >= 1");
+        let mut owner: FxHashMap<i64, u32> = maps.next().unwrap_or_default();
         for m in maps {
             for (k, i) in m {
                 owner.entry(k).or_insert(i);

@@ -115,11 +115,12 @@ impl LangIdModel {
         for s in &mut scores {
             *s /= grams.max(1) as f64;
         }
-        let (best, &best_score) = scores
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite scores"))
-            .expect("at least one label");
+        // On finite scores `total_cmp` agrees with `partial_cmp` except
+        // that it puts -0.0 below +0.0.
+        let Some((best, &best_score)) = scores.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1))
+        else {
+            return ("unknown", 0.0); // a model trained on no labels
+        };
         // Softmax over length-normalized log scores.
         let z: f64 = scores.iter().map(|s| (s - best_score).exp()).sum();
         (&self.labels[best], 1.0 / z)

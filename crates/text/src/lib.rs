@@ -35,6 +35,20 @@
 //! bytes, and the same floating-point sums in the same order. The earlier
 //! implementations are kept as test oracles, and property tests hold the
 //! kernels to them.
+//!
+//! ## Cleaning kernels
+//!
+//! The [`normalize`] kernels the cleaning mappers run on every sample
+//! return `Cow<'_, str>` with the contract `Borrowed` ⇔ unchanged: a
+//! kernel borrows its input exactly when its output would equal it. One
+//! byte-level scan for the bytes an edit needs decides that, so a sample
+//! that needs no edit is neither copied nor rebuilt, and a mapper reports
+//! `changed` only for an `Owned` result that differs from the old text.
+//! The earlier `String`-returning kernels are the test oracles here too.
+
+// Panic-on-error is banned in library code: every unwrap/expect outside
+// tests is restructured away.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod langid;
 pub mod lexicon;

@@ -2,14 +2,19 @@
 //! kept as test oracles. The property tests below assert `to_bits`-equal
 //! statistics and identical language predictions on random text heavy in
 //! CJK, emoji, combining marks, case-changing letters, control characters
-//! and Unicode whitespace.
+//! and Unicode whitespace, and byte-identical normalization output (with
+//! `Borrowed` exactly when the text is unchanged) on random and mutated
+//! text dense in the bytes the cleaning kernels react to.
 
 use proptest::prelude::*;
 
 use dj_core::segment_words;
 use dj_hash::{hash64, FxHashSet};
 
+use std::borrow::Cow;
+
 use crate::lexicon;
+use crate::normalize;
 use crate::stats;
 
 /// Pre-change stats kernels: per-window `String`s and `&[String]` words.
@@ -565,4 +570,497 @@ fn char_windows_hash_the_bytes_of_each_char_window() {
         .map(|w| hash64(w.iter().collect::<String>().as_bytes()))
         .collect();
     assert_eq!(got, want);
+}
+
+/// The `String`-returning normalization kernels and the
+/// `remove_long_words_mapper` closure.
+mod reference_normalize {
+    /// Collapse runs of spaces/tabs, normalize newlines, trim trailing spaces.
+    pub fn normalize_whitespace(text: &str) -> String {
+        let mut out = String::with_capacity(text.len());
+        let mut pending_space = false;
+        let mut pending_newlines = 0usize;
+        for c in text.replace("\r\n", "\n").replace('\r', "\n").chars() {
+            match c {
+                '\n' => {
+                    pending_space = false;
+                    pending_newlines += 1;
+                }
+                c if c == ' ' || c == '\t' || c == '\u{a0}' || c == '\u{3000}' => {
+                    pending_space = true;
+                }
+                c => {
+                    if pending_newlines > 0 {
+                        // At most one blank line is kept (paragraph break).
+                        out.push('\n');
+                        if pending_newlines > 1 {
+                            out.push('\n');
+                        }
+                        pending_newlines = 0;
+                    } else if pending_space && !out.is_empty() {
+                        out.push(' ');
+                    }
+                    pending_space = false;
+                    out.push(c);
+                }
+            }
+        }
+        out
+    }
+
+    /// Map fullwidth/typographic unicode punctuation to ASCII equivalents.
+    pub fn normalize_punctuation(text: &str) -> String {
+        text.chars()
+            .map(|c| match c {
+                '“' | '”' | '„' | '«' | '»' => '"',
+                '‘' | '’' | '‚' | '`' => '\'',
+                '—' | '–' | '―' => '-',
+                '…' => '.',
+                '，' => ',',
+                '。' => '.',
+                '！' => '!',
+                '？' => '?',
+                '：' => ':',
+                '；' => ';',
+                '（' => '(',
+                '）' => ')',
+                c => c,
+            })
+            .collect()
+    }
+
+    /// Repair common UTF-8-decoded-as-Latin-1 mojibake sequences.
+    pub fn fix_mojibake(text: &str) -> String {
+        const TABLE: &[(&str, &str)] = &[
+            ("â€™", "'"),
+            ("â€œ", "\""),
+            ("â€\u{9d}", "\""),
+            ("â€“", "-"),
+            ("â€”", "-"),
+            ("â€¦", "..."),
+            ("Ã©", "é"),
+            ("Ã¨", "è"),
+            ("Ã¼", "ü"),
+            ("Ã¶", "ö"),
+            ("Ã¤", "ä"),
+            ("Ã±", "ñ"),
+            ("Â ", " "),
+            ("\u{fffd}", ""),
+        ];
+        let mut out = text.to_string();
+        for (bad, good) in TABLE {
+            if out.contains(bad) {
+                out = out.replace(bad, good);
+            }
+        }
+        out
+    }
+
+    /// Remove http(s)/ftp links, replacing them with nothing.
+    pub fn remove_links(text: &str) -> String {
+        remove_token_matches(text, |tok| {
+            tok.starts_with("http://")
+                || tok.starts_with("https://")
+                || tok.starts_with("ftp://")
+                || tok.starts_with("www.")
+        })
+    }
+
+    /// Remove email addresses (token contains '@' with a dot after it).
+    pub fn remove_emails(text: &str) -> String {
+        remove_token_matches(text, |tok| {
+            let t = tok.trim_matches(|c: char| !c.is_alphanumeric() && c != '@' && c != '.');
+            match t.split_once('@') {
+                Some((user, host)) => {
+                    !user.is_empty() && host.contains('.') && !host.ends_with('.')
+                }
+                None => false,
+            }
+        })
+    }
+
+    /// Remove IPv4-looking tokens.
+    pub fn remove_ips(text: &str) -> String {
+        remove_token_matches(text, |tok| {
+            let t = tok.trim_matches(|c: char| !c.is_ascii_digit() && c != '.');
+            let parts: Vec<&str> = t.split('.').collect();
+            parts.len() == 4
+                && parts
+                    .iter()
+                    .all(|p| !p.is_empty() && p.len() <= 3 && p.chars().all(|c| c.is_ascii_digit()))
+        })
+    }
+
+    fn remove_token_matches(text: &str, pred: impl Fn(&str) -> bool) -> String {
+        let mut out = String::with_capacity(text.len());
+        for (i, line) in text.split('\n').enumerate() {
+            if i > 0 {
+                out.push('\n');
+            }
+            let mut first = true;
+            for tok in line.split(' ') {
+                if pred(tok) {
+                    continue;
+                }
+                if !first {
+                    out.push(' ');
+                }
+                first = false;
+                out.push_str(tok);
+            }
+        }
+        out
+    }
+
+    /// Strip HTML tags, unescaping the few common entities.
+    pub fn strip_html(text: &str) -> String {
+        let mut out = String::with_capacity(text.len());
+        let mut in_tag = false;
+        let mut chars = text.chars().peekable();
+        while let Some(c) = chars.next() {
+            match c {
+                '<' => in_tag = true,
+                '>' if in_tag => {
+                    in_tag = false;
+                    // Tags often imply breaks; preserve word separation.
+                    if !out.ends_with(' ') && !out.ends_with('\n') && !out.is_empty() {
+                        out.push(' ');
+                    }
+                }
+                _ if in_tag => {}
+                '&' => {
+                    let mut entity = String::from("&");
+                    let mut matched = false;
+                    for _ in 0..6 {
+                        match chars.peek() {
+                            Some(&e) if e.is_ascii_alphanumeric() || e == '#' => {
+                                entity.push(e);
+                                chars.next();
+                            }
+                            Some(&';') => {
+                                chars.next();
+                                matched = true;
+                                break;
+                            }
+                            _ => break,
+                        }
+                    }
+                    match (matched, entity.as_str()) {
+                        (true, "&amp") => out.push('&'),
+                        (true, "&lt") => out.push('<'),
+                        (true, "&gt") => out.push('>'),
+                        (true, "&quot") => out.push('"'),
+                        (true, "&nbsp") => out.push(' '),
+                        (true, "&#39") => out.push('\''),
+                        _ => out.push_str(&entity),
+                    }
+                }
+                c => out.push(c),
+            }
+        }
+        normalize_whitespace(&out)
+    }
+
+    /// The `remove_long_words_mapper` closure.
+    pub fn remove_long_words(t: &str, max: usize) -> String {
+        t.split('\n')
+            .map(|line| {
+                line.split(' ')
+                    .filter(|w| w.chars().count() <= max)
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+}
+
+/// Pieces dense in what the cleaning kernels react to: tags and entities,
+/// `@` and email shapes, dotted digit runs, link prefixes, `` ` `` and
+/// typographic punctuation, `\r`, tabs, U+00A0, U+3000, mojibake and
+/// broken mojibake prefixes, and long ASCII and multibyte words.
+const TRIGGERS: &[&str] = &[
+    "<",
+    ">",
+    "<b>",
+    "</p>",
+    "<a href=\"x\">",
+    "<br/",
+    "&",
+    "&amp;",
+    "&lt;",
+    "&gt;",
+    "&quot;",
+    "&nbsp;",
+    "&#39;",
+    "&#x;",
+    "&amp",
+    "&toolong;",
+    "&;",
+    "@",
+    "a@b.com",
+    "bob@example.org.",
+    "@x.y",
+    "(me@host.io)",
+    "u@h",
+    "x@@y.z",
+    ".",
+    "..",
+    "1.2.3.4",
+    "192.168.0.1",
+    "10.0.0.2566",
+    "1.2.3",
+    "1.2.3.4.5",
+    "[8.8.8.8]",
+    "0.0.0.0.",
+    "v1.2",
+    "123",
+    "`",
+    "\r",
+    "\r\n",
+    "\t",
+    "\u{a0}",
+    "\u{3000}",
+    "  ",
+    "\n",
+    "\n\n\n",
+    " \n",
+    "\n ",
+    "â€™",
+    "â€œ",
+    "â€\u{9d}",
+    "â€“",
+    "â€”",
+    "â€¦",
+    "Ã©",
+    "Ã±",
+    "Â ",
+    "\u{fffd}",
+    "Ã",
+    "â",
+    "Â",
+    "â€",
+    "é",
+    "à",
+    "“",
+    "”",
+    "„",
+    "«",
+    "»",
+    "‘",
+    "’",
+    "‚",
+    "—",
+    "–",
+    "―",
+    "…",
+    "，",
+    "。",
+    "！",
+    "？",
+    "：",
+    "；",
+    "（",
+    "）",
+    "「",
+    "http://x.y/z",
+    "https://a.b",
+    "ftp://f",
+    "www.site.com",
+    "wwwx",
+    "http:/",
+    "abcdefghijklmnopqrstu",
+    "数据数据数据数据数据数据数据",
+    "😀😀😀😀😀😀",
+    "ééééééééééé",
+    "word",
+    "the",
+    "ab",
+    "abcdefghijklmnopqrstuvwxyz0123456789",
+    "数数数数数数数数数数数数",
+    "x\u{301}x\u{301}x\u{301}",
+];
+const TRIGGER_SEPARATORS: &[&str] = &[" ", " ", " ", "", "\n", "\t", "  ", "\r\n", "\u{a0}"];
+
+/// Random trigger text, optionally framed by newlines.
+fn gen_trigger_text(g: &mut Gen, max_pieces: usize) -> String {
+    let mut out = String::new();
+    for _ in 0..g.below(3) {
+        out.push('\n');
+    }
+    for _ in 0..g.below(max_pieces + 1) {
+        out.push_str(TRIGGERS[g.below(TRIGGERS.len())]);
+        out.push_str(TRIGGER_SEPARATORS[g.below(TRIGGER_SEPARATORS.len())]);
+    }
+    for _ in 0..g.below(3) {
+        out.push('\n');
+    }
+    out
+}
+
+/// `text` with a few trigger pieces spliced in at random char boundaries
+/// and a few chars deleted, so triggers also land inside words.
+fn mutate(g: &mut Gen, text: &str) -> String {
+    let mut out = text.to_string();
+    for _ in 0..1 + g.below(4) {
+        let bounds: Vec<usize> = (0..=out.len())
+            .filter(|&i| out.is_char_boundary(i))
+            .collect();
+        let at = bounds[g.below(bounds.len())];
+        if g.below(3) == 0 && at < out.len() {
+            out.remove(at);
+        } else {
+            out.insert_str(at, TRIGGERS[g.below(TRIGGERS.len())]);
+        }
+    }
+    out
+}
+
+/// The kernel's output equals the oracle's byte for byte, and it borrows
+/// exactly when the oracle left the text unchanged.
+fn check_kernel(name: &str, text: &str, got: Cow<'_, str>, want: String) -> Result<(), String> {
+    if got.as_ref() != want {
+        return Err(format!("{name} on {text:?}: got {got:?}, want {want:?}"));
+    }
+    if matches!(got, Cow::Borrowed(_)) != (want == text) {
+        return Err(format!(
+            "{name} on {text:?}: borrowed = {}, unchanged = {}",
+            matches!(got, Cow::Borrowed(_)),
+            want == text
+        ));
+    }
+    Ok(())
+}
+
+fn check_all_kernels(text: &str) -> Result<(), String> {
+    check_kernel(
+        "normalize_whitespace",
+        text,
+        normalize::normalize_whitespace(text),
+        reference_normalize::normalize_whitespace(text),
+    )?;
+    check_kernel(
+        "normalize_punctuation",
+        text,
+        normalize::normalize_punctuation(text),
+        reference_normalize::normalize_punctuation(text),
+    )?;
+    check_kernel(
+        "fix_mojibake",
+        text,
+        normalize::fix_mojibake(text),
+        reference_normalize::fix_mojibake(text),
+    )?;
+    check_kernel(
+        "strip_html",
+        text,
+        normalize::strip_html(text),
+        reference_normalize::strip_html(text),
+    )?;
+    check_kernel(
+        "remove_links",
+        text,
+        normalize::remove_links(text),
+        reference_normalize::remove_links(text),
+    )?;
+    check_kernel(
+        "remove_emails",
+        text,
+        normalize::remove_emails(text),
+        reference_normalize::remove_emails(text),
+    )?;
+    check_kernel(
+        "remove_ips",
+        text,
+        normalize::remove_ips(text),
+        reference_normalize::remove_ips(text),
+    )?;
+    for max in [0, 1, 2, 3, 5, 8, 12, 20, 30, 31, 36, 45] {
+        check_kernel(
+            &format!("remove_long_words({max})"),
+            text,
+            normalize::remove_long_words(text, max),
+            reference_normalize::remove_long_words(text, max),
+        )?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn normalization_kernels_match_the_string_oracles(seed in any::<u64>()) {
+        let g = &mut Gen(seed);
+        let text = gen_trigger_text(g, 24);
+        if let Err(e) = check_all_kernels(&text) {
+            prop_assert!(false, "{}", e);
+        }
+    }
+
+    #[test]
+    fn normalization_kernels_match_on_mutated_text(seed in any::<u64>()) {
+        let g = &mut Gen(seed);
+        let base = if g.below(2) == 0 { gen_text(g, 30) } else { gen_trigger_text(g, 16) };
+        let text = mutate(g, &base);
+        if let Err(e) = check_all_kernels(&text) {
+            prop_assert!(false, "{}", e);
+        }
+    }
+
+    /// Text that is already clean must come back borrowed from every kernel.
+    #[test]
+    fn normalized_text_comes_back_borrowed(seed in any::<u64>()) {
+        let g = &mut Gen(seed);
+        let text = gen_trigger_text(g, 24);
+        let clean = reference_normalize::normalize_whitespace(&text);
+        prop_assert!(matches!(normalize::normalize_whitespace(&clean), Cow::Borrowed(_)));
+        if let Err(e) = check_all_kernels(&clean) {
+            prop_assert!(false, "{}", e);
+        }
+    }
+}
+
+#[test]
+fn kernel_edge_cases_match_the_oracles() {
+    for text in [
+        "",
+        " ",
+        "\n",
+        "\n\n",
+        "\n\nx",
+        "\n\n\nx",
+        "x\n\ny",
+        "x \ny",
+        "x\n y",
+        " x",
+        "x ",
+        "x  y",
+        "x\u{a0}y",
+        "x\u{3000}y",
+        "x\ty",
+        "x\r\ny",
+        "x\ry",
+        "\u{a0}",
+        "é\u{a0}",
+        "ã€€",
+        "<",
+        "&",
+        "&amp;",
+        "a <b> c",
+        "1.2.3.4",
+        "1.2.3.4x",
+        "a@b.c",
+        "@",
+        "`",
+        "Â",
+        "Â x",
+        "\u{fffd}",
+        "www.",
+        "http://",
+    ] {
+        if let Err(e) = check_all_kernels(text) {
+            panic!("{e}");
+        }
+    }
 }
